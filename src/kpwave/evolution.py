@@ -8,7 +8,9 @@ and the linear part of every step is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import weakref
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -17,20 +19,19 @@ from scipy import fft as sfft
 from .errors import DomainError, InvalidInputError, StepFailureError
 from .grids import (
     Grid2D,
-    Multiplier,
     RealField,
     SpectralField,
-    apply_multiplier,
     forward_transform,
     inverse_transform,
     load_snapshot,
+    multiplier_dx,
     omega_values,
     project_field,
-    project_zero_xmodes,
     save_snapshot,
 )
 
 BLOWUP_FACTOR = 1e6
+LATTICE_TOL = 1e-9  # in steps: how far a time may sit from t0 + i*dt
 
 
 @dataclass
@@ -42,7 +43,6 @@ class SolverConfig:
     t_end: float
     dealias: bool = True
     snapshot_stride: int = 1
-    linearized_background: "Trajectory | None" = None
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -91,11 +91,7 @@ class Trajectory:
             "provenance": self.provenance,
         }
         if self.config is not None:
-            manifest["config"] = {
-                "dt": self.config.dt, "t0": self.config.t0,
-                "t_end": self.config.t_end, "dealias": self.config.dealias,
-                "snapshot_stride": self.config.snapshot_stride,
-            }
+            manifest["config"] = asdict(self.config)
         (directory / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
     @classmethod
@@ -104,7 +100,8 @@ class Trajectory:
         manifest = json.loads((directory / "manifest.json").read_text())
         snaps = [load_snapshot(directory / f"snap_{i:05d}")
                  for i in range(len(manifest["time_tags"]))]
-        return cls(snaps, provenance=manifest.get("provenance", {}))
+        config = SolverConfig(**manifest["config"]) if "config" in manifest else None
+        return cls(snaps, config, manifest.get("provenance", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -119,47 +116,108 @@ def linear_propagate(F: SpectralField, dt: float) -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# nonlinear stepping
+# snapshot scheduling and stepping
+
+def _schedule(cfg: SolverConfig, snapshot_times, linear: bool = False):
+    """The linear jump's sorted times (t0, t_end, the requested ones between)
+    or a stepping run's (steps, sorted snapshot steps): by default every
+    `snapshot_stride` steps and the last, and a t_end or requested time off
+    the lattice t0 + i*dt or outside [t0, t_end] is refused."""
+    if linear:
+        times = {cfg.t0, cfg.t_end, *(snapshot_times or ())}
+        return sorted(t for t in times if cfg.t0 - 1e-12 <= t <= cfg.t_end + 1e-12)
+
+    def step(t, what, last):
+        x = (t - cfg.t0) / cfg.dt
+        if abs(x - round(x)) > LATTICE_TOL or not 0 <= round(x) <= last:
+            raise InvalidInputError(
+                f"{what} t={t} is off the step lattice t0 + i*dt in [t0, t_end] "
+                f"(t0={cfg.t0}, dt={cfg.dt}, t_end={cfg.t_end})")
+        return round(x)
+
+    nsteps = step(cfg.t_end, "t_end", math.inf)
+    if snapshot_times is None:
+        return nsteps, sorted({*range(0, nsteps + 1, cfg.snapshot_stride), nsteps})
+    return nsteps, sorted({step(t, "snapshot time", nsteps) for t in snapshot_times})
+
 
 class _Workspace:
-    """Precomputed lattice data for repeated stepping on one grid."""
+    """Stepping data of one grid: omega, the folded -i*xi*mask multiplier,
+    the physical phase, and the exponentials of the last dt used."""
 
     def __init__(self, grid: Grid2D, dealias: bool):
-        self.grid = grid
         self.omega = omega_values(grid)
-        ixi = 1j * grid.XI
-        ixi[grid.nx // 2, :] = 0.0
-        self.ixi = ixi
-        self.mask = grid.dealias_mask if dealias else None
+        self.neg_dx = -multiplier_dx(grid).values * (grid.dealias_mask if dealias else 1.0)
         self.phase = grid._phase
+        self._exp = (None, None, None)
 
-    def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
-        """Spectral image of -d/dx (u^2/2), optionally dealiased."""
-        g = self.grid
-        u = sfft.ifft2(coeffs / self.phase).real * (g.nx * g.ny)
-        sq = sfft.fft2(0.5 * u * u) / (g.nx * g.ny) * self.phase
-        if self.mask is not None:
-            sq = sq * self.mask
-        out = -self.ixi * sq
-        out[0, :] = 0.0
-        return out
+    def exponentials(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """exp(i*omega*dt/2) and exp(i*omega*dt)."""
+        if self._exp[0] != dt:
+            e1 = np.exp(1j * self.omega * (dt / 2))
+            self._exp = (dt, e1, e1 * e1)
+        return self._exp[1:]
+
+    def flux(self, coeffs: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+        """Spectral -d/dx(w^2/2) of the field w with these coefficients, or
+        -d/dx(u*w) for background samples u (the linearized term)."""
+        w = sfft.ifft2(coeffs / self.phase)
+        if u is None:
+            w = w.real * coeffs.size
+            w = 0.5 * w * w
+        else:
+            w = u * (w * coeffs.size)
+        return self.neg_dx * (sfft.fft2(w) / coeffs.size * self.phase)
+
+    def ifrk4_step(self, coeffs: np.ndarray, dt: float, nl) -> np.ndarray:
+        """One integrating-factor RK4 step of dc/dt = i*omega*c + nl(c, s),
+        s being the time since the start of the step."""
+        e1, e2 = self.exponentials(dt)
+        n1 = nl(coeffs, 0.0)
+        n2 = nl(e1 * (coeffs + (dt / 2) * n1), dt / 2)
+        n3 = nl(e1 * coeffs + (dt / 2) * n2, dt / 2)
+        n4 = nl(e2 * coeffs + dt * e1 * n3, dt)
+        # e2*c + dt/6*(e2*n1 + 2*e1*(n2 + n3) + n4) in place: less peak memory
+        n2 += n3
+        np.multiply(2 * e1, n2, out=n2)
+        np.add(e2 * n1, n2, out=n2)
+        n2 += n4
+        np.multiply(dt / 6, n2, out=n2)
+        return np.add(e2 * coeffs, n2, out=n2)
 
 
-def _ifrk4_step(coeffs: np.ndarray, dt: float, ws: _Workspace,
-                nl=None, e1: np.ndarray | None = None,
-                e2: np.ndarray | None = None) -> np.ndarray:
-    """One integrating-factor RK4 step of du/dt = i*omega*u + N(u)."""
-    if nl is None:
-        nl = lambda c, s: ws.nonlinear(c)  # noqa: E731 - autonomous case
-    if e1 is None:
-        e1 = np.exp(1j * ws.omega * (dt / 2))
-    if e2 is None:
-        e2 = e1 * e1
-    n1 = nl(coeffs, 0.0)
-    n2 = nl(e1 * (coeffs + (dt / 2) * n1), dt / 2)
-    n3 = nl(e1 * coeffs + (dt / 2) * n2, dt / 2)
-    n4 = nl(e2 * coeffs + dt * e1 * n3, dt)
-    return e2 * coeffs + (dt / 6) * (e2 * n1 + 2 * e1 * (n2 + n3) + n4)
+_WORKSPACES = weakref.WeakValueDictionary()
+
+
+def _workspace(grid: Grid2D, dealias: bool) -> _Workspace:
+    """The shared workspace of (grid, dealias); it lives while a run holds it."""
+    ws = _WORKSPACES.get((grid, dealias)) or _Workspace(grid, dealias)
+    _WORKSPACES[grid, dealias] = ws
+    return ws
+
+
+def _nonlinear_flow(ws: _Workspace, dt: float):  # advance(coeffs, t) of the full equation
+    return lambda c, t: ws.ifrk4_step(c, dt, lambda c, s: ws.flux(c))
+
+
+def _march(F: SpectralField, dt: float, nsteps: int, snap_steps, advance, record) -> list:
+    """The stepping loop: take `nsteps` steps of `advance(coeffs, t)` from F
+    and return `record(state)` at each index in `snap_steps`, tagged t0 + i*dt.
+    The blow-up guard compares each step's L^2 norm with the previous one."""
+    coeffs, t0, wanted, out = F.coeffs, F.time_tag, set(snap_steps), []
+    norm = np.vdot(coeffs, coeffs).real
+    for i in range(nsteps + 1):
+        if i in wanted:
+            out.append(record(SpectralField(F.grid, coeffs, t0 + i * dt)))
+        if i == nsteps:
+            return out
+        new = advance(coeffs, t0 + i * dt)
+        new_norm = np.vdot(new, new).real
+        if not new_norm <= BLOWUP_FACTOR**2 * max(norm, 1e-300):
+            raise StepFailureError(
+                f"blow-up at step {i + 1} (t={t0 + (i + 1) * dt:.6g}): the L^2 norm "
+                f"grew by a factor {math.sqrt(new_norm / max(norm, 1e-300)):.3g}")
+        coeffs, norm = new, new_norm
 
 
 def nonlinear_term(u: RealField, dealias: bool = True) -> RealField:
@@ -167,8 +225,8 @@ def nonlinear_term(u: RealField, dealias: bool = True) -> RealField:
     F = forward_transform(u)
     if not F.is_projected:
         raise InvalidInputError("field must be zero-x-mode projected")
-    ws = _Workspace(u.grid, dealias)
-    return inverse_transform(SpectralField(u.grid, ws.nonlinear(F.coeffs), u.time_tag))
+    flux = _workspace(u.grid, dealias).flux(F.coeffs)
+    return inverse_transform(SpectralField(u.grid, flux, u.time_tag))
 
 
 def step_nonlinear(F: SpectralField, dt: float, dealias: bool = True) -> SpectralField:
@@ -177,13 +235,8 @@ def step_nonlinear(F: SpectralField, dt: float, dealias: bool = True) -> Spectra
         raise InvalidInputError("field must be zero-x-mode projected")
     if not dt > 0:
         raise InvalidInputError("dt must be positive")
-    ws = _Workspace(F.grid, dealias)
-    out = _ifrk4_step(F.coeffs, dt, ws)
-    before = np.sum(np.abs(F.coeffs) ** 2)
-    after = np.sum(np.abs(out) ** 2)
-    if before > 0 and after > BLOWUP_FACTOR**2 * before:
-        raise StepFailureError(f"blow-up detected at t={F.time_tag}")
-    return SpectralField(F.grid, out, F.time_tag + dt)
+    flow = _nonlinear_flow(_workspace(F.grid, dealias), dt)
+    return _march(F, dt, 1, [1], flow, lambda S: S)[0]
 
 
 class BackgroundInterpolator:
@@ -229,21 +282,9 @@ def step_linearized(w: SpectralField, background: Trajectory | BackgroundInterpo
     t = w.time_tag
     if not bg.covers(min(t, t + dt), max(t, t + dt)):
         raise DomainError("background trajectory does not cover the step")
-    ws = _Workspace(w.grid, dealias)
-    g = w.grid
-
-    def nl(coeffs, s):
-        u = bg.samples_at(t + s)
-        wp = sfft.ifft2(coeffs / ws.phase) * (g.nx * g.ny)
-        prod = sfft.fft2(u * wp) / (g.nx * g.ny) * ws.phase
-        if ws.mask is not None:
-            prod = prod * ws.mask
-        out = -ws.ixi * prod
-        out[0, :] = 0.0
-        return out
-
-    out = _ifrk4_step(w.coeffs, dt, ws, nl=nl)
-    return SpectralField(g, out, t + dt)
+    ws = _workspace(w.grid, dealias)
+    out = ws.ifrk4_step(w.coeffs, dt, lambda c, s: ws.flux(c, bg.samples_at(t + s)))
+    return SpectralField(w.grid, out, t + dt)
 
 
 def evolve(u0: RealField, cfg: SolverConfig,
@@ -251,68 +292,39 @@ def evolve(u0: RealField, cfg: SolverConfig,
            linear: bool = False) -> Trajectory:
     """Integrate from t0 to t_end, storing snapshots.
 
-    Snapshots are stored every `snapshot_stride` steps by default, or at the
-    steps nearest each requested time when `snapshot_times` is given.  With
-    `linear=True` the exact propagator jumps between snapshot times.
+    Snapshots are taken every `snapshot_stride` steps and at the last step
+    by default, or at `snapshot_times`, tagged t0 + i*dt.  Exact-time rule:
+    IFRK4 stepping takes whole steps, so t_end and each requested time must
+    be on the lattice t0 + i*dt within [t0, t_end], or `InvalidInputError`
+    is raised before the first step.  With `linear=True` the exact
+    propagator jumps to t0, t_end and any requested time in between.
     """
+    schedule = _schedule(cfg, snapshot_times, linear)
     u0 = project_field(u0)
     F = SpectralField(u0.grid, forward_transform(u0).coeffs, cfg.t0)
-
     if linear:
-        times = sorted(set([cfg.t0] + list(snapshot_times or []) + [cfg.t_end]))
-        snaps = []
-        for t in times:
-            if t < cfg.t0 - 1e-12 or t > cfg.t_end + 1e-12:
-                continue
-            snaps.append(inverse_transform(linear_propagate(F, t - cfg.t0)))
+        snaps = [inverse_transform(linear_propagate(F, t - cfg.t0)) for t in schedule]
         return Trajectory(snaps, cfg, {"mode": "linear"})
-
-    nsteps = int(round((cfg.t_end - cfg.t0) / cfg.dt))
-    if snapshot_times is not None:
-        snap_steps = sorted(set(
-            int(round((t - cfg.t0) / cfg.dt)) for t in snapshot_times
-            if cfg.t0 - 1e-9 <= t <= cfg.t_end + 1e-9))
-    else:
-        snap_steps = list(range(0, nsteps + 1, cfg.snapshot_stride))
-        if snap_steps[-1] != nsteps:
-            snap_steps.append(nsteps)
-    snap_set = set(snap_steps)
-
-    ws = _Workspace(u0.grid, cfg.dealias)
-    e1 = np.exp(1j * ws.omega * (cfg.dt / 2))
-    e2 = e1 * e1
-    coeffs = F.coeffs
-    snaps = []
-    for i in range(nsteps + 1):
-        t = cfg.t0 + i * cfg.dt
-        if i in snap_set:
-            snaps.append(inverse_transform(SpectralField(u0.grid, coeffs, t)))
-        if i < nsteps:
-            new = _ifrk4_step(coeffs, cfg.dt, ws, e1=e1, e2=e2)
-            if np.sum(np.abs(new) ** 2) > BLOWUP_FACTOR**2 * max(np.sum(np.abs(coeffs) ** 2), 1e-300):
-                raise StepFailureError(f"blow-up detected at t={t}")
-            coeffs = new
-    return Trajectory(snaps, cfg, {"mode": "nonlinear"})
+    flow = _nonlinear_flow(_workspace(u0.grid, cfg.dealias), cfg.dt)
+    return Trajectory(_march(F, cfg.dt, *schedule, flow, inverse_transform), cfg,
+                      {"mode": "nonlinear"})
 
 
 def evolve_linearized(w0: RealField, background: Trajectory, cfg: SolverConfig,
                       snapshot_times: list[float] | None = None) -> Trajectory:
-    """Integrate the linearized equation along a stored background."""
+    """Integrate the linearized equation along a stored background, under
+    the exact-time rule of `evolve`."""
+    schedule = _schedule(cfg, snapshot_times)
     w0 = project_field(w0)
+    ws = _workspace(w0.grid, cfg.dealias)  # held, so every step_linearized shares it
     bg = BackgroundInterpolator(background)
-    nsteps = int(round((cfg.t_end - cfg.t0) / cfg.dt))
-    if snapshot_times is not None:
-        snap_set = set(int(round((t - cfg.t0) / cfg.dt)) for t in snapshot_times)
-    else:
-        snap_set = set(range(0, nsteps + 1, cfg.snapshot_stride)) | {nsteps}
     W = SpectralField(w0.grid, forward_transform(w0).coeffs, cfg.t0)
-    snaps = []
-    for i in range(nsteps + 1):
-        if i in snap_set:
-            snaps.append(inverse_transform(W))
-        if i < nsteps:
-            W = step_linearized(W, bg, cfg.dt, cfg.dealias)
-    return Trajectory(snaps, cfg, {"mode": "linearized"})
+
+    def flow(coeffs, t):
+        return step_linearized(SpectralField(W.grid, coeffs, t), bg, cfg.dt, cfg.dealias).coeffs
+
+    return Trajectory(_march(W, cfg.dt, *schedule, flow, inverse_transform), cfg,
+                      {"mode": "linearized"})
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +350,7 @@ def apply_symmetry(u: RealField, kind: str, param: float = 0.0) -> RealField:
         idx = (-np.arange(g.nx)) % g.nx
         return RealField(g, u.samples[idx, :], u.time_tag)
     if kind == "galilean":
-        c = param
-        ratio = c * g.Ly / g.Lx
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise DomainError(
-                "inadmissible Galilean parameter: c*Ly must be an integer "
-                f"multiple of Lx (got c*Ly/Lx = {ratio})")
-        return inverse_transform(galilean_fourier_map(forward_transform(u), c))
+        return inverse_transform(galilean_fourier_map(forward_transform(u), param))
     raise DomainError(f"unknown symmetry kind {kind!r}")
 
 
@@ -353,7 +359,9 @@ def galilean_fourier_map(F: SpectralField, c: float) -> SpectralField:
     g = F.grid
     ratio = c * g.Ly / g.Lx
     if abs(ratio - round(ratio)) > 1e-9:
-        raise DomainError("inadmissible Galilean parameter")
+        raise DomainError(
+            "inadmissible Galilean parameter: c*Ly must be an integer "
+            f"multiple of Lx (got c*Ly/Lx = {ratio})")
     m = int(round(ratio))
     jj = np.rint(sfft.fftfreq(g.nx) * g.nx).astype(int)
     cols = (np.arange(g.ny)[None, :] + (m * jj)[:, None]) % g.ny

@@ -31,14 +31,6 @@ class RayVelocity:
     def is_admissible(self) -> bool:
         return self.v > 0
 
-    @property
-    def xi_v(self) -> float:
-        return ray_frequency(self)[0]
-
-    @property
-    def eta_v(self) -> float:
-        return ray_frequency(self)[1]
-
 
 def ray_frequency(vel: RayVelocity) -> tuple[float, float]:
     """Frequency (xi_v, eta_v) carried along the ray; positive-xi branch."""
@@ -66,16 +58,12 @@ def phase_phi(t: float, x: float, y: float) -> float:
     return -(2.0 / (3.0 * SQRT3)) * z**1.5 / math.sqrt(t)
 
 
-def phase_phi_grid(grid: Grid2D, t: float, clamp: bool = True) -> np.ndarray:
+def phase_phi_grid(grid: Grid2D, t: float) -> np.ndarray:
     """Phase on the centered grid; z clamped to 0 outside the propagation
     region (callers multiply by cutoffs supported in z > 0)."""
     if not t > 0:
         raise DomainError("phase defined for t > 0")
-    z = -grid.XA + grid.YA**2 / (4 * t)
-    if clamp:
-        z = np.maximum(z, 0.0)
-    elif np.any(z < 0):
-        raise DomainError("grid contains points with z < 0")
+    z = np.maximum(-grid.XA + grid.YA**2 / (4 * t), 0.0)
     return -(2.0 / (3.0 * SQRT3)) * z**1.5 / math.sqrt(t)
 
 

@@ -11,6 +11,9 @@ Conventions fixed here and relied on everywhere else:
   (zero-x-mode convention), which makes 1/dx single valued.
 * Nyquist modes sit on the negative half of the lattice; odd-symbol
   multipliers are zeroed there to preserve realness.
+* A real field's Nyquist coefficients are their own mirrors, so the phase
+  there is the real +-1 nearest the plane-wave phase: every real field
+  round-trips, whatever the box offset.
 """
 
 from __future__ import annotations
@@ -115,6 +118,8 @@ class Grid2D:
         # physical plane-wave amplitudes.
         px = np.exp(-1j * self.xi * self.x[0])
         py = np.exp(-1j * self.eta * self.y[0])
+        for p in (px, py):
+            p[len(p) // 2] = 1.0 if p[len(p) // 2].real >= 0 else -1.0
         return px[:, None] * py[None, :]
 
     @cached_property
@@ -289,10 +294,9 @@ def multiplier_dx(grid: Grid2D, order: int = 1) -> Multiplier:
     """Symbol of d/dx^order; negative orders give the inverse derivative."""
     if order == 0:
         return Multiplier(np.ones(grid.shape), "identity")
-    sym = (1j * grid.XI) ** order if order > 0 else np.zeros(grid.shape, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sym = (1j * grid.XI) ** order
     if order < 0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sym = (1j * grid.XI) ** order
         sym[0, :] = 0.0
     if order % 2:  # odd symbol: kill the ambiguous Nyquist row
         sym[grid.nx // 2, :] = 0.0

@@ -120,12 +120,10 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "grid": {k: getattr(self.grid, k)
-                     for k in ("nx", "ny", "Lx", "Ly", "x0", "y0")},
+        return {
+            "grid": asdict(self.grid),
             "initial": asdict(self.initial),
-            "solver": {k: getattr(self.solver, k)
-                       for k in ("dt", "t0", "t_end", "dealias", "snapshot_stride")},
+            "solver": asdict(self.solver),
             "diagnostics": [asdict(ds) for ds in self.diagnostics],
             "snapshot_times": (None if self.snapshot_times is None
                                else list(self.snapshot_times)),
@@ -134,7 +132,6 @@ class ExperimentConfig:
             "save_trajectory": self.save_trajectory,
             "out_dir": self.out_dir,
         }
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -301,7 +298,7 @@ def _diag_gamma(traj: Trajectory, params: dict, out: Path) -> None:
                 continue
             p = PacketParams(vel, t)
             gam = gamma(s, p)
-            rec = reconstruction_error(s, p)
+            rec = reconstruction_error(s, p, gam)
             samples.append((t, gam, rec))
         series = GammaSeries(vel, [(t, gam) for t, gam, _ in samples])
         dots = dict(gamma_dot_series(series)) if len(samples) >= 3 else {}
@@ -418,6 +415,7 @@ def theorem_suite_configs(scale: float = 1.0) -> dict:
     """The canned experiments whose outputs feed the acceptance checks.
 
     scale < 1 shrinks grids and horizons proportionally for smoke runs.
+    Stepping experiments end and take snapshots on their dt lattice.
     """
     if not 0 < scale <= 1:
         raise ConfigError("scale must lie in (0, 1]")
@@ -425,6 +423,9 @@ def theorem_suite_configs(scale: float = 1.0) -> dict:
     def n(v, lo=8):
         k = max(lo, int(v * scale))
         return k if k % 2 == 0 else k + 1
+
+    def on_lattice(t, dt):  # the step-lattice time k*dt nearest t
+        return round(round(t / dt) * dt, 6)
 
     cfgs = {}
 
@@ -442,7 +443,7 @@ def theorem_suite_configs(scale: float = 1.0) -> dict:
     cfgs["conservation"] = ExperimentConfig(
         grid=Grid2D(n(256), n(64), 128.0, 64.0, 0.0, 0.0),
         initial=InitialSpec("modulated_gaussian", (Pulse(0.05, (0.5, 0.0), (12.0, 8.0)),)),
-        solver=SolverConfig(dt=0.02, t0=0.0, t_end=max(1.0, 20.0 * scale)),
+        solver=SolverConfig(dt=0.02, t0=0.0, t_end=on_lattice(max(1.0, 20.0 * scale), 0.02)),
         diagnostics=(DiagnosticSpec("norms"),),
         snapshot_times=tuple(float(k) for k in
                              range(0, int(max(1.0, 20.0 * scale)) + 1)))
@@ -452,9 +453,10 @@ def theorem_suite_configs(scale: float = 1.0) -> dict:
     cfgs["energy"] = ExperimentConfig(
         grid=Grid2D(n(1024), n(512), 640.0, 580.0, -40.0, 0.0),
         initial=InitialSpec("modulated_gaussian", (Pulse(0.01, (0.5, 0.0), (24.0, 40.0)),)),
-        solver=SolverConfig(dt=0.1, t0=0.0, t_end=t_en),
+        solver=SolverConfig(dt=0.1, t0=0.0, t_end=on_lattice(t_en, 0.1)),
         diagnostics=(DiagnosticSpec("norms"), DiagnosticSpec("sup")),
-        snapshot_times=log_times(1.0, t_en), save_trajectory=False)
+        snapshot_times=tuple(on_lattice(t, 0.1) for t in log_times(1.0, t_en)),
+        save_trajectory=False)
 
     # free-flow run profiled against the pointwise bound shapes
     t_prof = max(4.0, 64.0 * scale)
@@ -473,24 +475,24 @@ def theorem_suite_configs(scale: float = 1.0) -> dict:
     cfgs["packet"] = ExperimentConfig(
         grid=Grid2D(n(1024), n(256), 960.0, 256.0, -160.0, 0.0),
         initial=InitialSpec("modulated_gaussian", (Pulse(0.02, (1.0, 0.0), (4.0, 4.0)),)),
-        solver=SolverConfig(dt=0.05, t0=0.0, t_end=t_pk),
+        solver=SolverConfig(dt=0.05, t0=0.0, t_end=on_lattice(t_pk, 0.05)),
         diagnostics=(DiagnosticSpec("gamma",
                                     {"rays": [(-3.0, 0.0)], "t_min": 10.0 * min(1.0, scale * 2)}),),
-        snapshot_times=log_times(min(10.0, t_pk / 2), t_pk, per_octave=16),
+        snapshot_times=tuple(on_lattice(t, 0.05) for t in
+                             log_times(min(10.0, t_pk / 2), t_pk, per_octave=16)),
         save_trajectory=False)
 
     # band correction and its flow residuals
     t_sc = max(10.0, 65.0 * scale)
     sc_dt = 0.05
     sc_centers = tuple(sorted(set(
-        round(round(t / sc_dt) * sc_dt, 6)
-        for t in log_times(8.0 * min(1.0, scale * 2), t_sc - 1.0))))
+        on_lattice(t, sc_dt) for t in log_times(8.0 * min(1.0, scale * 2), t_sc - 1.0))))
     cfgs["scatter"] = ExperimentConfig(
         grid=Grid2D(n(1024), n(128), 1024.0, 128.0, 0.0, 0.0),
         initial=InitialSpec("modulated_gaussian", (Pulse(0.05, (0.9, 0.0), (4.0, 6.0)),)),
-        solver=SolverConfig(dt=0.05, t0=0.0, t_end=t_sc),
+        solver=SolverConfig(dt=sc_dt, t0=0.0, t_end=on_lattice(t_sc, sc_dt)),
         diagnostics=(DiagnosticSpec("scatter", {"times": list(sc_centers)}),),
-        snapshot_times=(0.0,) + bracketed_times(sc_centers, 0.05) + (t_sc,),
+        snapshot_times=(0.0,) + bracketed_times(sc_centers, 0.05) + (on_lattice(t_sc, sc_dt),),
         save_trajectory=False)
 
     return cfgs

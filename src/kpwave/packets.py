@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
@@ -13,7 +13,7 @@ from scipy.interpolate import RectBivariateSpline
 from .errors import DomainError, GridMismatchError, InvalidInputError
 from .geometry import RayVelocity, phase_phi, phase_phi_grid
 from .grids import ComplexField, Grid2D, RealField, sup_norm
-from .bumps import bump_d1, bump_d2, bump_mass, bump_normalized
+from .bumps import bump_d1, bump_d2, bump_normalized
 from .vfields import derivative, z_coordinate
 
 SQRT3 = math.sqrt(3.0)
@@ -49,11 +49,6 @@ class PacketParams:
     @property
     def lambda2(self) -> float:
         return self.t**-0.5 * self.vel.v**0.25
-
-    @property
-    def chi_norm(self) -> float:
-        """Normalization constant of the tensor envelope."""
-        return bump_mass() ** -2
 
 
 def _packet_coords(p: PacketParams, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
@@ -153,11 +148,13 @@ def packet_residual(p: PacketParams, grid: Grid2D,
         remainder_sup=sup_norm(rem), leading_sup=sup_norm(leading))
 
 
-def reconstruction_error(u: RealField, p: PacketParams) -> float:
+def reconstruction_error(u: RealField, p: PacketParams,
+                         gam: complex | None = None) -> float:
     """|u_x at the ray point - the packet reconstruction| at time t.
 
     The reconstruction is 2 t^{-1} Re(e^{i phi} gamma) at the ray point;
-    u_x is evaluated there by bicubic interpolation.
+    u_x is evaluated there by bicubic interpolation.  Pass the pairing
+    `gam = gamma(u, p)` when it is already known.
     """
     g = u.grid
     t = p.t
@@ -168,7 +165,8 @@ def reconstruction_error(u: RealField, p: PacketParams) -> float:
     ux = derivative(u, dx_order=1)
     spline = RectBivariateSpline(g.x, g.y, ux.samples, kx=3, ky=3)
     ux_ray = float(spline(x_ray, y_ray)[0, 0])
-    gam = gamma(u, p)
+    if gam is None:
+        gam = gamma(u, p)
     phi = phase_phi(t, x_ray, y_ray)
     recon = 2.0 / t * (cmath.exp(1j * phi) * gam).real
     return abs(ux_ray - recon)
@@ -180,7 +178,6 @@ class GammaSeries:
 
     vel: RayVelocity
     samples: list  # of (t, complex)
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         times = [t for t, _ in self.samples]

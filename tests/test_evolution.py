@@ -126,8 +126,44 @@ class TestStepNonlinear:
     def test_blowup_guard(self):
         g = Grid2D(64, 32, 20.0, 10.0, 0.0, 0.0)
         u0 = gaussian_field(g, amp=300.0, sx=2.0, sy=2.0, kx=1.0)
-        with pytest.raises(StepFailureError):
+        with pytest.raises(StepFailureError, match=r"at step \d+ \(t=.*grew by a factor"):
             evolve(u0, SolverConfig(dt=0.5, t0=0.0, t_end=50.0))
+
+
+class TestExactTimes:
+    """A stepping run refuses times it cannot reach in whole steps."""
+
+    def _runs(self, g):
+        u0 = gaussian_field(g, amp=0.05, sx=2.0, sy=2.0, kx=1.0)
+        bg = evolve(u0, SolverConfig(dt=0.01, t0=0.0, t_end=1.0, snapshot_stride=10))
+        return (lambda cfg, times=None: evolve(u0, cfg, times),
+                lambda cfg, times=None: evolve_linearized(u0, bg, cfg, times))
+
+    def test_incommensurate_t_end_refused(self, grid):
+        for run in self._runs(grid):
+            with pytest.raises(InvalidInputError, match=r"t_end t=1\.0 .*dt=0\.03"):
+                run(SolverConfig(dt=0.03, t0=0.0, t_end=1.0))
+
+    def test_off_lattice_snapshot_refused(self, grid):
+        for run in self._runs(grid):
+            with pytest.raises(InvalidInputError, match=r"t=0\.5 .*dt=0\.03"):
+                run(SolverConfig(dt=0.03, t0=0.0, t_end=0.99), [0.0, 0.5])
+
+    def test_snapshot_beyond_t_end_refused(self, grid):
+        for run in self._runs(grid):
+            with pytest.raises(InvalidInputError, match=r"t=1\.2 .*dt=0\.05"):
+                run(SolverConfig(dt=0.05, t0=0.0, t_end=1.0), [0.5, 1.2])
+
+    def test_lattice_times_are_hit_exactly(self, grid):
+        for run in self._runs(grid):
+            traj = run(SolverConfig(dt=0.03, t0=0.0, t_end=0.99), [0.99, 0.51, 0.0])
+            assert np.allclose(traj.times, [0.0, 0.51, 0.99], rtol=0, atol=1e-12)
+            assert traj.field_at(0.51).time_tag == 17 * 0.03
+
+    def test_linear_jump_takes_any_time(self, grid):
+        u0 = gaussian_field(grid, amp=0.05, sx=2.0, sy=2.0, kx=1.0)
+        traj = evolve(u0, SolverConfig(dt=0.03, t0=0.0, t_end=1.0), [0.5], linear=True)
+        assert list(traj.times) == [0.0, 0.5, 1.0]
 
 
 class TestLinearized:
@@ -259,6 +295,7 @@ class TestTrajectoryIO:
         assert list(back.times) == [0.0, 1.0, 2.0]
         for a, b in zip(back.snapshots, snaps):
             assert np.array_equal(a.samples, b.samples)
+        assert back.config == traj.config
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):

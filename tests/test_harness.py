@@ -190,6 +190,17 @@ class TestTheoremSuite:
         with pytest.raises(ConfigError):
             theorem_suite_configs(scale=2.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.37, 0.1234, 0.05])
+    def test_stepping_times_on_lattice(self, scale):
+        for name, cfg in theorem_suite_configs(scale).items():
+            if cfg.linear:
+                continue
+            s = cfg.solver
+            for t in (s.t_end, *cfg.snapshot_times):
+                steps = (t - s.t0) / s.dt
+                assert abs(steps - round(steps)) <= 1e-9, (name, t)
+                assert s.t0 <= t <= s.t_end, (name, t)
+
     def test_smoke_run(self, tmp_path):
         results = run_theorem_suite(tmp_path, scale=0.05, only=["conservation"])
         assert set(results) == {"conservation", "resonances"}

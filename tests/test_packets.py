@@ -160,6 +160,10 @@ class TestGamma:
         u = flat_envelope_ux(g, t, c0)
         assert gamma(u, PacketParams(VEL, t)) == pytest.approx(c0, rel=0.02)
 
+    def test_reconstruction_error_reuses_pairing(self, linear_run_t40):
+        u, p = linear_run_t40, PacketParams(VEL, 40.0)
+        assert reconstruction_error(u, p, gamma(u, p)) == reconstruction_error(u, p)
+
     def test_uniform_bound_on_linear_solution(self, linear_run_t40):
         u = linear_run_t40
         t = 40.0

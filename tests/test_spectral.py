@@ -24,10 +24,12 @@ from kpwave.grids import (
     multiplier_dy,
     multiplier_omega,
     omega_values,
+    project_field,
     project_zero_xmodes,
     save_snapshot,
     spectral_l2_norm,
 )
+from kpwave.harness import theorem_suite_configs
 
 from conftest import random_field, random_spectral
 
@@ -66,6 +68,21 @@ class TestForwardTransform:
         back = inverse_transform(forward_transform(f))
         scale = np.abs(f.samples).max()
         assert np.abs(back.samples - f.samples).max() < 1e-13 * scale
+
+    @pytest.mark.parametrize("grid", [
+        *(c.grid for c in theorem_suite_configs().values()),
+        Grid2D(64, 32, 20.0, 10.0, 0.3, 0.0),
+        Grid2D(64, 32, 20.0, 10.0, 0.0, 0.37),
+    ], ids=lambda g: f"{g.nx}x{g.ny}@({g.x0},{g.y0})")
+    def test_white_noise_round_trip(self, grid):
+        # Nyquist content included: the phase there must be real on any
+        # box offset, or ingestion breaks Hermitian symmetry
+        noise = np.random.default_rng(7).standard_normal(grid.shape)
+        back = project_field(RealField(grid, noise, 0.0))
+        diff = np.fft.fft2(noise - back.samples)
+        diff[0, :] = 0.0  # the projection removes exactly the xi = 0 line
+        assert np.abs(diff).max() <= 1e-14 * np.abs(np.fft.fft2(noise)).max()
+        assert np.abs(back.samples.mean(axis=0)).max() <= 1e-14 * np.abs(noise).max()
 
     def test_gaussian_parseval(self):
         # ||exp(-x^2-y^2)||_{L^2}^2 = pi/2 on a box large enough to kill tails
