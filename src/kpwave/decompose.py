@@ -1,5 +1,6 @@
 """Sign-frequency split, dyadic x-frequency decomposition, the
-hyperbolic/elliptic spatial split, and the pointwise-bound profiler."""
+hyperbolic/elliptic spatial split, and the pointwise-bound profiler, which
+transforms its input once and keeps u+ and the dyadic pieces as coefficients."""
 
 from __future__ import annotations
 
@@ -12,13 +13,14 @@ from .errors import DomainError, InvalidInputError
 from .grids import (
     ComplexField,
     RealField,
+    SpectralField,
+    conjugate_mirror,
     forward_transform,
-    forward_transform_complex,
     inverse_transform_complex,
     l2_norm,
 )
 from .bumps import plateau_cutoff, smooth_step
-from .vfields import VectorFieldId, apply_vector_field, derivative, x_norm, z_coordinate
+from .vfields import VectorFieldId, _ly_spectrum, _Spectrum, _vector_field, _x_norm, z_coordinate
 
 
 @dataclass(frozen=True)
@@ -99,31 +101,34 @@ class PointwiseProfile:
     ell_third_rhs: float = 0.0     # ||u||_X
 
 
+def _plus_coeffs(F: SpectralField) -> np.ndarray:
+    """The coefficients of u+ (see `split_sign_frequencies`)."""
+    if not F.is_projected:
+        raise InvalidInputError("field must be zero-x-mode projected")
+    g = F.grid
+    c = np.where(g.XI > 0, F.coeffs, 0.0)
+    c[g.nx // 2, :] = F.coeffs[g.nx // 2, :] / 2
+    return c
+
+
 def split_sign_frequencies(u: RealField) -> tuple[ComplexField, ComplexField]:
     """u = u+ + u- with u- = conj(u+); u+ carries the xi > 0 coefficients.
 
     The (self-paired) x-Nyquist row is shared half-and-half so that the
     reconstruction is exact for any input.
     """
-    F = forward_transform(u)
-    if not F.is_projected:
-        raise InvalidInputError("field must be zero-x-mode projected")
-    g = u.grid
-    c = np.where(g.XI > 0, F.coeffs, 0.0)
-    c[g.nx // 2, :] = F.coeffs[g.nx // 2, :] / 2
-    u_plus = inverse_transform_complex(
-        type(F)(g, c, u.time_tag))
-    u_minus = ComplexField(g, np.conj(u_plus.samples), u.time_tag)
+    c = _plus_coeffs(forward_transform(u))
+    u_plus = inverse_transform_complex(SpectralField(u.grid, c, u.time_tag))
+    u_minus = ComplexField(u.grid, np.conj(u_plus.samples), u.time_tag)
     return u_plus, u_minus
 
 
-def dyadic_decompose(u_plus: ComplexField, delta: float = 1.0) -> list[DyadicPiece]:
-    """Partition-of-unity decomposition in x-frequency over the 2^{delta Z}
-    lattice; the pieces sum back to the input exactly."""
+def _dyadic_coeffs(F: SpectralField, delta: float):
+    """Yield (lambda, coefficients) of each dyadic piece of the
+    positive-frequency coefficients F."""
     if not (0 < delta <= 1):
         raise InvalidInputError("delta must lie in (0, 1]")
-    g = u_plus.grid
-    F = forward_transform_complex(u_plus)
+    g = F.grid
     c = F.coeffs
     scale = np.abs(c).max()
     # the x-Nyquist column may carry the shared half of a real mode; any
@@ -145,17 +150,20 @@ def dyadic_decompose(u_plus: ComplexField, delta: float = 1.0) -> list[DyadicPie
     hi = int(math.ceil(ell[live].max()))
     # telescoping weights from shared step values: exact partition of unity
     svals = {n: smooth_step(ell - n) for n in range(lo - 1, hi + 1)}
-    pieces = []
     for n in range(lo, hi + 1):
         w = svals[n - 1] - svals[n]
         piece_coeffs = c * w[:, None]
         # drop pieces holding only transform roundoff
-        if np.abs(piece_coeffs).max() <= 1e-14 * scale:
-            continue
-        lam = 2.0 ** (n * delta)
-        part = inverse_transform_complex(type(F)(g, piece_coeffs, u_plus.time_tag))
-        pieces.append(DyadicPiece(lam, part))
-    return pieces
+        if np.abs(piece_coeffs).max() > 1e-14 * scale:
+            yield 2.0 ** (n * delta), piece_coeffs
+
+
+def dyadic_decompose(u_plus: ComplexField, delta: float = 1.0) -> list[DyadicPiece]:
+    """Partition-of-unity decomposition in x-frequency over the 2^{delta Z}
+    lattice; the pieces sum back to the input exactly."""
+    g, t = u_plus.grid, u_plus.time_tag
+    return [DyadicPiece(lam, inverse_transform_complex(SpectralField(g, c, t)))
+            for lam, c in _dyadic_coeffs(forward_transform(u_plus), delta)]
 
 
 def hyperbolic_elliptic_split(piece: DyadicPiece, width: float = 0.5) -> HypEllSplit:
@@ -211,38 +219,36 @@ def pointwise_profile(u: RealField, t: float, delta: float = 1.0,
     if t < 1:
         raise DomainError("profile defined for t >= 1")
     g = u.grid
-    u_plus, _ = split_sign_frequencies(u)
-    pieces = dyadic_decompose(u_plus, delta)
-
-    hyp_plus = np.zeros(g.shape, dtype=complex)
+    S = _Spectrum.of(u)
+    v = z_coordinate(g, t) / t
+    # u_hyp = 2 Re(hyp_plus), with hyp_plus's coefficients summed piece by piece
+    hyp_plus, hyp_coeffs = np.zeros(g.shape, dtype=complex), np.zeros(g.shape, dtype=complex)
     lambda_rows = []
-    for piece in pieces:
-        split = hyperbolic_elliptic_split(piece, width)
-        hyp_plus += split.hyp.samples
-        if piece.lam < t ** (-1.0 / 3.0):
+    for lam, c in _dyadic_coeffs(SpectralField(g, _plus_coeffs(SpectralField(g, S.coeffs)), t), delta):
+        if lam < t ** (-1.0 / 3.0):  # wholly elliptic
             continue
-        lam = piece.lam
-        dx_piece = derivative(piece.plus_part, dx_order=1)
-        lz_dx = apply_vector_field(VectorFieldId("Lz", t), dx_piece)
-        budget = l2_norm(piece.plus_part) + l2_norm(lz_dx)
-        lz_hyp = l2_norm(apply_vector_field(VectorFieldId("LzPlus", t), split.hyp))
-        v = z_coordinate(g, t) / t
-        weighted = ComplexField(g, _bracket(v / lam**2) * split.ell.samples, t)
+        piece = _Spectrum(g, c, False, t)
+        split = hyperbolic_elliptic_split(DyadicPiece(lam, piece.field()), width)
+        hyp = _Spectrum.of(split.hyp)
+        hyp_plus += hyp.samples
+        hyp_coeffs += hyp.coeffs
+        lz_dx = _vector_field(VectorFieldId("Lz", t), piece.d(1))
+        budget = l2_norm(piece.field()) + l2_norm(piece.field(lz_dx))
         lambda_rows.append(LambdaRow(
             lam=lam,
-            lz_hyp=lz_hyp,
+            lz_hyp=l2_norm(hyp.field(_vector_field(VectorFieldId("LzPlus", t), hyp))),
             lz_hyp_rhs=lam**-2 * t**-0.5 * budget,
-            ell_weighted=l2_norm(weighted),
+            ell_weighted=l2_norm(ComplexField(g, _bracket(v / lam**2) * split.ell.samples, t)),
             ell_rhs=lam**-3 / t * budget,
         ))
 
     u_hyp = 2 * hyp_plus.real
     u_ell = u.samples - u_hyp
-    hyp_x = 2 * derivative(ComplexField(g, hyp_plus, t), dx_order=1).samples.real
-    u_x = derivative(u, dx_order=1).samples
-    ell_x = u_x - hyp_x
+    dx_hyp = _Spectrum(g, hyp_coeffs, False, t, hyp_plus).d(1)
+    hyp_x = 2 * dx_hyp.samples.real
+    ux = S.d(1)  # held, so that the X norm shares it
+    ell_x = ux.samples - hyp_x
 
-    v = z_coordinate(g, t) / t
     v_floor = t ** (-2.0 / 3.0) / 8
     v_cap = max(np.abs(v).max(), 2 * v_floor)
     n_bins = int(math.ceil(math.log10(v_cap / v_floor) * bins_per_decade))
@@ -270,17 +276,15 @@ def pointwise_profile(u: RealField, t: float, delta: float = 1.0,
         ))
 
     # corollary quantities: weighted norms of the assembled hyperbolic part
-    xr = x_norm(u, t)
-    hyp_plus_field = ComplexField(g, hyp_plus, t)
-    dx_hyp = derivative(hyp_plus_field, dx_order=1)
-    lz_dx_hyp = apply_vector_field(VectorFieldId("LzPlus", t), dx_hyp)
+    xr = _x_norm(S, t)
+    lz_dx_hyp = _vector_field(VectorFieldId("LzPlus", t), dx_hyp)
     w_pos = np.sqrt(np.maximum(v, 0.0))
-    hyp_weighted = l2_norm(ComplexField(g, w_pos * lz_dx_hyp.samples, t))
+    hyp_weighted = l2_norm(dx_hyp.field(w_pos * lz_dx_hyp))
     inv_v = np.where(v > v_floor, 1.0 / np.maximum(v, v_floor), 0.0)
-    ly = VectorFieldId("Ly", t)
-    ly2_hyp = apply_vector_field(ly, apply_vector_field(ly, RealField(g, u_hyp, t)))
-    third = derivative(ly2_hyp, dx_order=3)
-    ell_third = l2_norm(ComplexField(g, inv_v * third.samples.astype(complex), t))
+    # u_hyp = hyp_plus + conj(hyp_plus), and Ly^2 u_hyp stays a spectrum for dx^3
+    u_hyp_spectrum = _Spectrum(g, hyp_coeffs + conjugate_mirror(hyp_coeffs), True, t, u_hyp)
+    third = _ly_spectrum(_ly_spectrum(u_hyp_spectrum, t), t).d(3).samples
+    ell_third = l2_norm(S.field(inv_v * third))
 
     return PointwiseProfile(
         t=t, delta=delta, width=width, rows=rows, lambda_rows=lambda_rows,

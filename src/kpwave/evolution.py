@@ -251,6 +251,7 @@ class BackgroundInterpolator:
         self.snaps = traj.snapshots
         if len(self.snaps) < 2:
             raise InvalidInputError("background needs at least 2 snapshots")
+        self._last = (math.nan, None)  # the last step's t + dt and the samples there
 
     def covers(self, t0: float, t1: float, tol: float = 1e-9) -> bool:
         return self.times[0] - tol <= t0 and t1 <= self.times[-1] + tol
@@ -271,6 +272,14 @@ class BackgroundInterpolator:
             out += lj * self.snaps[j].samples
         return out
 
+    def stage_samples(self, t: float, dt: float) -> dict:
+        """Samples at t + s for the IFRK4 stage offsets s = 0, dt/2, dt.  The
+        last step's t + dt is this t (to roundoff) and is not evaluated again."""
+        t_last, last = self._last
+        start = last if math.isclose(t_last, t, rel_tol=1e-14, abs_tol=1e-14) else self.samples_at(t)
+        mid, self._last = self.samples_at(t + dt / 2), (t + dt, self.samples_at(t + dt))
+        return {0.0: start, dt / 2: mid, dt: self._last[1]}
+
 
 def step_linearized(w: SpectralField, background: Trajectory | BackgroundInterpolator,
                     dt: float, dealias: bool = True) -> SpectralField:
@@ -283,7 +292,8 @@ def step_linearized(w: SpectralField, background: Trajectory | BackgroundInterpo
     if not bg.covers(min(t, t + dt), max(t, t + dt)):
         raise DomainError("background trajectory does not cover the step")
     ws = _workspace(w.grid, dealias)
-    out = ws.ifrk4_step(w.coeffs, dt, lambda c, s: ws.flux(c, bg.samples_at(t + s)))
+    stages = bg.stage_samples(t, dt)
+    out = ws.ifrk4_step(w.coeffs, dt, lambda c, s: ws.flux(c, stages[s]))
     return SpectralField(w.grid, out, t + dt)
 
 

@@ -9,6 +9,10 @@ Conventions fixed here and relied on everywhere else:
 * Parseval: ||f||_{L^2}^2 = Lx*Ly * sum |c|^2.
 * The xi = 0 line of coefficients is zeroed on ingestion of evolution data
   (zero-x-mode convention), which makes 1/dx single valued.
+* One transform pair: `forward_transform` takes a real or a complex
+  field; `inverse_transform` returns a real field and refuses coefficients
+  that break Hermitian symmetry, `inverse_transform_complex` returns a
+  complex field.
 * Nyquist modes sit on the negative half of the lattice; odd-symbol
   multipliers are zeroed there to preserve realness.
 * A real field's Nyquist coefficients are their own mirrors, so the phase
@@ -136,37 +140,30 @@ def _check_same_grid(a, b):
 
 
 @dataclass(frozen=True)
-class RealField:
+class _Samples:
+    grid: Grid2D
+    samples: np.ndarray
+    time_tag: float = 0.0
+
+    def __post_init__(self):
+        s = np.asarray(self.samples, dtype=self._dtype)
+        if s.shape != self.grid.shape:
+            raise InvalidInputError(f"samples shape {s.shape} != grid {self.grid.shape}")
+        if not np.all(np.isfinite(s)):
+            raise InvalidInputError("non-finite samples")
+        object.__setattr__(self, "samples", s)
+
+
+class RealField(_Samples):
     """Real sample array on a grid; a snapshot of u(t, .)."""
 
-    grid: Grid2D
-    samples: np.ndarray
-    time_tag: float = 0.0
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.float64)
-        if s.shape != self.grid.shape:
-            raise InvalidInputError(f"samples shape {s.shape} != grid {self.grid.shape}")
-        if not np.all(np.isfinite(s)):
-            raise InvalidInputError("non-finite samples")
-        object.__setattr__(self, "samples", s)
+    _dtype = np.float64
 
 
-@dataclass(frozen=True)
-class ComplexField:
+class ComplexField(_Samples):
     """Complex sample array on a grid (sign-frequency pieces, packets)."""
 
-    grid: Grid2D
-    samples: np.ndarray
-    time_tag: float = 0.0
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.complex128)
-        if s.shape != self.grid.shape:
-            raise InvalidInputError(f"samples shape {s.shape} != grid {self.grid.shape}")
-        if not np.all(np.isfinite(s)):
-            raise InvalidInputError("non-finite samples")
-        object.__setattr__(self, "samples", s)
+    _dtype = np.complex128
 
 
 @dataclass(frozen=True)
@@ -213,42 +210,45 @@ class Multiplier:
 # transforms
 
 
-def forward_transform(f: RealField) -> SpectralField:
+def forward_transform(f: RealField | ComplexField) -> SpectralField:
     """FFT with 1/(nx*ny) normalization and physical-coordinate phases."""
     g = f.grid
-    coeffs = sfft.fft2(f.samples) / (g.nx * g.ny) * g._phase
+    coeffs = sfft.fft2(f.samples)
+    coeffs /= g.nx * g.ny
+    coeffs *= g._phase
     return SpectralField(g, coeffs, f.time_tag)
 
 
-def forward_transform_complex(f: ComplexField) -> SpectralField:
-    g = f.grid
-    coeffs = sfft.fft2(f.samples) / (g.nx * g.ny) * g._phase
-    return SpectralField(g, coeffs, f.time_tag)
+def conjugate_mirror(coeffs: np.ndarray) -> np.ndarray:
+    """conj(c(-k)): the coefficients of conj(f) when c are those of f."""
+    return np.conj(np.roll(coeffs[::-1, ::-1], (1, 1), axis=(0, 1)))
 
 
 def hermitian_defect(F: SpectralField) -> float:
     """Relative deviation of coeffs from Hermitian symmetry."""
     c = F.coeffs
-    mirrored = np.conj(np.roll(c[::-1, ::-1], (1, 1), axis=(0, 1)))
     scale = np.abs(c).max()
     if scale == 0:
         return 0.0
-    return float(np.abs(c - mirrored).max() / scale)
+    return float(np.abs(c - conjugate_mirror(c)).max() / scale)
+
+
+def _inverse_samples(F: SpectralField) -> np.ndarray:
+    g = F.grid
+    samples = sfft.ifft2(F.coeffs / g._phase, overwrite_x=True)
+    samples *= g.nx * g.ny
+    return samples
 
 
 def inverse_transform(F: SpectralField) -> RealField:
     """Inverse FFT; rejects coefficients that break Hermitian symmetry."""
     if hermitian_defect(F) > HERMITIAN_TOL:
         raise InvalidInputError("coefficients break Hermitian symmetry")
-    g = F.grid
-    samples = sfft.ifft2(F.coeffs / g._phase) * (g.nx * g.ny)
-    return RealField(g, samples.real, F.time_tag)
+    return RealField(F.grid, _inverse_samples(F).real, F.time_tag)
 
 
 def inverse_transform_complex(F: SpectralField) -> ComplexField:
-    g = F.grid
-    samples = sfft.ifft2(F.coeffs / g._phase) * (g.nx * g.ny)
-    return ComplexField(g, samples, F.time_tag)
+    return ComplexField(F.grid, _inverse_samples(F), F.time_tag)
 
 
 def apply_multiplier(F: SpectralField, m: Multiplier) -> SpectralField:
@@ -295,21 +295,21 @@ def multiplier_dx(grid: Grid2D, order: int = 1) -> Multiplier:
     if order == 0:
         return Multiplier(np.ones(grid.shape), "identity")
     with np.errstate(divide="ignore", invalid="ignore"):
-        sym = (1j * grid.XI) ** order
+        sym = (1j * grid.xi) ** order
     if order < 0:
-        sym[0, :] = 0.0
+        sym[0] = 0.0
     if order % 2:  # odd symbol: kill the ambiguous Nyquist row
-        sym[grid.nx // 2, :] = 0.0
-    return Multiplier(sym, f"dx^{order}")
+        sym[grid.nx // 2] = 0.0
+    return Multiplier(np.broadcast_to(sym[:, None], grid.shape), f"dx^{order}")
 
 
 def multiplier_dy(grid: Grid2D, order: int = 1) -> Multiplier:
     if order < 0:
         raise DomainError("no inverse y-derivative convention")
-    sym = (1j * grid.ETA) ** order
+    sym = (1j * grid.eta) ** order
     if order % 2:
-        sym[:, grid.ny // 2] = 0.0
-    return Multiplier(sym, f"dy^{order}")
+        sym[grid.ny // 2] = 0.0
+    return Multiplier(np.broadcast_to(sym[None, :], grid.shape), f"dy^{order}")
 
 
 def multiplier_omega(grid: Grid2D) -> Multiplier:

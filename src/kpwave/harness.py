@@ -19,6 +19,7 @@ from .grids import (
     Grid2D,
     RealField,
     SpectralField,
+    conjugate_mirror,
     inverse_transform,
     project_field,
     project_zero_xmodes,
@@ -26,9 +27,9 @@ from .grids import (
     sup_norm,
 )
 from .decompose import pointwise_profile
-from .packets import GammaSeries, PacketParams, gamma, gamma_dot_series, reconstruction_error
+from .packets import GammaSeries, PacketParams, _pair, gamma_dot_series
 from .scattering import extract_scatter_data, scattering_residuals
-from .vfields import derivative, x_norm
+from .vfields import _Spectrum, derivative, x_norm
 
 
 def _toolkit_version() -> str:
@@ -196,9 +197,8 @@ def build_initial_data(cfg: ExperimentConfig) -> RealField:
         rng = np.random.default_rng(cfg.seed)
         c = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
         c *= g.dealias_mask
-        herm = c + np.conj(np.roll(c[::-1, ::-1], (1, 1), axis=(0, 1)))
         noise = inverse_transform(project_zero_xmodes(
-            SpectralField(g, herm, cfg.solver.t0)))
+            SpectralField(g, c + conjugate_mirror(c), cfg.solver.t0)))
         scale = sup_norm(noise)
         if scale > 0:
             total += cfg.initial.noise_amplitude / scale * noise.samples
@@ -289,20 +289,18 @@ def _diag_sup(traj: Trajectory, params: dict, out: Path) -> None:
 def _diag_gamma(traj: Trajectory, params: dict, out: Path) -> None:
     rays = [RayVelocity(*r) for r in params.get("rays", [(-3.0, 0.0)])]
     t_min = params.get("t_min", 1.0)
+    samples = [[] for _ in rays]
+    for s in traj.snapshots:
+        t = float(s.time_tag)
+        live = [i for i, vel in enumerate(rays) if t >= t_min and vel.v >= t ** (-2.0 / 3.0)]
+        ux = _Spectrum.of(s).d(1) if live else None  # one spectrum serves every ray
+        for i in live:
+            samples[i].append((t, *_pair(ux, PacketParams(rays[i], t))))
     rows = []
-    for vel in rays:
-        samples = []
-        for s in traj.snapshots:
-            t = float(s.time_tag)
-            if t < t_min or vel.v < t ** (-2.0 / 3.0):
-                continue
-            p = PacketParams(vel, t)
-            gam = gamma(s, p)
-            rec = reconstruction_error(s, p, gam)
-            samples.append((t, gam, rec))
-        series = GammaSeries(vel, [(t, gam) for t, gam, _ in samples])
-        dots = dict(gamma_dot_series(series)) if len(samples) >= 3 else {}
-        for t, gam, rec in samples:
+    for vel, ray_samples in zip(rays, samples):
+        series = GammaSeries(vel, [(t, gam) for t, gam, _ in ray_samples])
+        dots = dict(gamma_dot_series(series)) if len(ray_samples) >= 3 else {}
+        for t, gam, rec in ray_samples:
             rows.append((t, vel.v1, vel.v2, gam.real, gam.imag, abs(gam),
                          dots.get(t, ""), rec))
     _write_csv(out / "gamma.csv",

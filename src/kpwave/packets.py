@@ -12,9 +12,10 @@ from scipy.interpolate import RectBivariateSpline
 
 from .errors import DomainError, GridMismatchError, InvalidInputError
 from .geometry import RayVelocity, phase_phi, phase_phi_grid
-from .grids import ComplexField, Grid2D, RealField, sup_norm
+from .grids import (ComplexField, Grid2D, RealField, SpectralField, forward_transform,
+                    inverse_transform_complex, multiplier_dx, sup_norm)
 from .bumps import bump_d1, bump_d2, bump_normalized
-from .vfields import derivative, z_coordinate
+from .vfields import _Spectrum, _symbol, z_coordinate
 
 SQRT3 = math.sqrt(3.0)
 
@@ -74,23 +75,29 @@ def packet_leading(p: PacketParams, grid: Grid2D) -> ComplexField:
     return ComplexField(grid, chi * np.exp(1j * phase_phi_grid(grid, p.t)), p.t)
 
 
+def _packet_coeffs(p: PacketParams, grid: Grid2D) -> np.ndarray:
+    """The packet's coefficients: dx acts on one transform of chi e^{i phi}."""
+    lead = forward_transform(packet_leading(p, grid)).coeffs
+    return (-1j * SQRT3 * p.vel.v**-0.5) * multiplier_dx(grid).values * lead
+
+
 def build_packet(p: PacketParams, grid: Grid2D) -> ComplexField:
     """Assemble the packet -i sqrt(3) v^{-1/2} dx(chi e^{i phi}); the x
     derivative acts spectrally on the assembled product."""
-    lead = packet_leading(p, grid)
-    dx = derivative(lead, dx_order=1)
-    return ComplexField(grid, -1j * SQRT3 * p.vel.v**-0.5 * dx.samples, p.t)
+    return inverse_transform_complex(SpectralField(grid, _packet_coeffs(p, grid), p.t))
+
+
+def _pairing(ux: _Spectrum, psi_coeffs: np.ndarray) -> complex:
+    """The integral of u_x conj(psi), by Parseval."""
+    return complex(ux.grid.Lx * ux.grid.Ly * np.vdot(psi_coeffs, ux.coeffs))
 
 
 def gamma(u: RealField, p: PacketParams, psi: ComplexField | None = None) -> complex:
     """The packet pairing integral of u_x against the conjugate packet."""
-    if psi is None:
-        psi = build_packet(p, u.grid)
-    if psi.grid != u.grid:
+    if psi is not None and psi.grid != u.grid:
         raise GridMismatchError("field and packet live on different grids")
-    ux = derivative(u, dx_order=1)
-    g = u.grid
-    return complex(g.hx * g.hy * np.sum(ux.samples * np.conj(psi.samples)))
+    psi_coeffs = _packet_coeffs(p, u.grid) if psi is None else forward_transform(psi).coeffs
+    return _pairing(_Spectrum.of(u).d(1), psi_coeffs)
 
 
 @dataclass(frozen=True)
@@ -134,18 +141,29 @@ def packet_residual(p: PacketParams, grid: Grid2D,
     if dt_step > t / 20:
         raise InvalidInputError(
             f"finite-difference step {dt_step} too large relative to t={t}")
-    psi = build_packet(p, grid)
-    psi_m = build_packet(PacketParams(p.vel, t - dt_step, p.chi_profile), grid)
-    psi_p = build_packet(PacketParams(p.vel, t + dt_step, p.chi_profile), grid)
-    dt_psi = (psi_p.samples - psi_m.samples) / (2 * dt_step)
-    spatial = (derivative(psi, dx_order=3).samples
-               - derivative(psi, dx_order=-1, dy_order=2).samples)
-    full = ComplexField(grid, dt_psi + spatial, t)
+    c_m, c, c_p = (_packet_coeffs(PacketParams(p.vel, s, p.chi_profile), grid)
+                   for s in (t - dt_step, t, t + dt_step))
+    flow = (c_p - c_m) / (2 * dt_step) + (_symbol(grid, 3) - _symbol(grid, -1, 2)) * c
+    full = inverse_transform_complex(SpectralField(grid, flow, t))
     leading = _leading_bracket(p, grid)
     rem = ComplexField(grid, full.samples - leading.samples, t)
     return PacketResidual(
         full=full, leading=leading, remainder=rem,
         remainder_sup=sup_norm(rem), leading_sup=sup_norm(leading))
+
+
+def _pair(ux: _Spectrum, p: PacketParams, gam: complex | None = None) -> tuple:
+    """(gamma, reconstruction error) from the spectrum of u_x: one
+    transform for the packet, and u_x inverted once however many pair."""
+    g, t = ux.grid, p.t
+    x_ray, y_ray = p.vel.v1 * t, p.vel.v2 * t
+    if abs(x_ray - g.x0) > g.Lx / 4 or abs(y_ray - g.y0) > g.Ly / 4:
+        raise DomainError("ray point outside the trusted central half-box")
+    if gam is None:
+        gam = _pairing(ux, _packet_coeffs(p, g))
+    ux_ray = float(RectBivariateSpline(g.x, g.y, ux.samples, kx=3, ky=3)(x_ray, y_ray)[0, 0])
+    recon = 2.0 / t * (cmath.exp(1j * phase_phi(t, x_ray, y_ray)) * gam).real
+    return gam, abs(ux_ray - recon)
 
 
 def reconstruction_error(u: RealField, p: PacketParams,
@@ -156,20 +174,7 @@ def reconstruction_error(u: RealField, p: PacketParams,
     u_x is evaluated there by bicubic interpolation.  Pass the pairing
     `gam = gamma(u, p)` when it is already known.
     """
-    g = u.grid
-    t = p.t
-    x_ray = p.vel.v1 * t
-    y_ray = p.vel.v2 * t
-    if abs(x_ray - g.x0) > g.Lx / 4 or abs(y_ray - g.y0) > g.Ly / 4:
-        raise DomainError("ray point outside the trusted central half-box")
-    ux = derivative(u, dx_order=1)
-    spline = RectBivariateSpline(g.x, g.y, ux.samples, kx=3, ky=3)
-    ux_ray = float(spline(x_ray, y_ray)[0, 0])
-    if gam is None:
-        gam = gamma(u, p)
-    phi = phase_phi(t, x_ray, y_ray)
-    recon = 2.0 / t * (cmath.exp(1j * phi) * gam).real
-    return abs(ux_ray - recon)
+    return _pair(_Spectrum.of(u).d(1), p, gam)[1]
 
 
 @dataclass(frozen=True)

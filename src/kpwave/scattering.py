@@ -1,5 +1,6 @@
 """Moving-band projection, the quadratic long-time correction, its flow
-residuals, and extraction of the asymptotic linear profile."""
+residuals, and extraction of the asymptotic linear profile.  The residuals
+take one transform of each snapshot they read."""
 
 from __future__ import annotations
 
@@ -9,11 +10,11 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError
 from .evolution import Trajectory, linear_propagate
+from .decompose import _plus_coeffs
 from .grids import (
     ComplexField,
     RealField,
     SpectralField,
-    apply_multiplier,
     forward_transform,
     inverse_transform,
     inverse_transform_complex,
@@ -21,7 +22,7 @@ from .grids import (
     multiplier_dx,
     spectral_l2_norm,
 )
-from .vfields import derivative
+from .vfields import _Spectrum, _symbol
 
 DEFAULT_ALPHA = 1.0 / 6.0
 _CONTENT_TOL = 1e-12
@@ -66,25 +67,26 @@ class ScatterReport:
             raise InvalidInputError("report entries must be finite and nonnegative")
 
 
-def band_project(u: RealField, bp: BandProjection) -> tuple[RealField, ComplexField]:
-    """Sharp band-pass of x-frequencies |xi| in [lower, upper]; returns the
-    real band field and its positive-frequency half."""
-    F = forward_transform(u)
+def _band(F: SpectralField, bp: BandProjection) -> SpectralField:
+    """The coefficients of a projected field F kept by the band."""
     if not F.is_projected:
         raise InvalidInputError("field must be zero-x-mode projected")
-    g = u.grid
+    g = F.grid
     abs_xi = np.abs(g.xi)
     in_band = (abs_xi >= bp.lower) & (abs_xi <= bp.upper)
     in_band[0] = False
     if not np.any(in_band):
         raise DomainError(
             f"band [{bp.lower:.3g}, {bp.upper:.3g}] contains no grid x-frequencies")
-    cw = np.where(in_band[:, None], F.coeffs, 0.0)
-    w = inverse_transform(SpectralField(g, cw, u.time_tag))
-    cp = np.where((g.xi > 0)[:, None], cw, 0.0)
-    cp[g.nx // 2, :] = cw[g.nx // 2, :] / 2
-    w_plus = inverse_transform_complex(SpectralField(g, cp, u.time_tag))
-    return w, w_plus
+    return SpectralField(g, np.where(in_band[:, None], F.coeffs, 0.0), F.time_tag)
+
+
+def band_project(u: RealField, bp: BandProjection) -> tuple[RealField, ComplexField]:
+    """Sharp band-pass of x-frequencies |xi| in [lower, upper]; returns the
+    real band field and its positive-frequency half."""
+    W = _band(forward_transform(u), bp)
+    w_plus = inverse_transform_complex(SpectralField(u.grid, _plus_coeffs(W), u.time_tag))
+    return inverse_transform(W), w_plus
 
 
 def _min_positive_content(F: SpectralField) -> float:
@@ -101,6 +103,21 @@ def _min_positive_content(F: SpectralField) -> float:
     return float(np.abs(g.xi[live]).min())
 
 
+def _umod(w_plus: _Spectrum, lower: float) -> tuple[np.ndarray, np.ndarray]:
+    """Re(w+ w+_x) and the coefficients of the correction (8/3) dx^{-3} of
+    it; a product with content below 2 * lower is rejected."""
+    g = w_plus.grid
+    q = RealField(g, (w_plus.samples * w_plus.d(1).samples).real, w_plus.time_tag)
+    Fq = forward_transform(q)
+    if np.abs(Fq.coeffs).max() > 0:
+        low_content = _min_positive_content(Fq)
+        if low_content < 2 * lower * (1 - 1e-9):
+            raise InvalidInputError(
+                f"quadratic product has content at |xi|={low_content:.3g} "
+                f"below 2*lower={2*lower:.3g}")
+    return q.samples, (8.0 / 3.0) * multiplier_dx(g, -3).values * Fq.coeffs
+
+
 def compute_umod(w_plus: ComplexField, lower: float | None = None) -> RealField:
     """The quadratic correction (8/3) dx^{-3} Re(w+ w+_x).
 
@@ -113,28 +130,8 @@ def compute_umod(w_plus: ComplexField, lower: float | None = None) -> RealField:
         Fw = forward_transform(
             RealField(g, 2 * w_plus.samples.real, w_plus.time_tag))
         lower = _min_positive_content(Fw)
-    wx = derivative(w_plus, dx_order=1)
-    q = RealField(g, (w_plus.samples * wx.samples).real, w_plus.time_tag)
-    Fq = forward_transform(q)
-    if np.abs(Fq.coeffs).max() > 0:
-        low_content = _min_positive_content(Fq)
-        if low_content < 2 * lower * (1 - 1e-9):
-            raise InvalidInputError(
-                f"quadratic product has content at |xi|={low_content:.3g} "
-                f"below 2*lower={2*lower:.3g}")
-    out = apply_multiplier(Fq, multiplier_dx(g, -3))
-    return inverse_transform(SpectralField(g, (8.0 / 3.0) * out.coeffs, q.time_tag))
-
-
-def _quadratic_product(u: RealField, bp: BandProjection) -> tuple[RealField, ComplexField]:
-    _, w_plus = band_project(u, bp)
-    wx = derivative(w_plus, dx_order=1)
-    q = RealField(u.grid, 2 * (w_plus.samples * wx.samples).real, u.time_tag)
-    return q, w_plus
-
-
-def _back_propagated(u: RealField) -> SpectralField:
-    return linear_propagate(forward_transform(u), -u.time_tag)
+    _, coeffs = _umod(_Spectrum.of(w_plus), lower)
+    return inverse_transform(SpectralField(g, coeffs, w_plus.time_tag))
 
 
 def scattering_residuals(traj: Trajectory, t: float,
@@ -154,37 +151,25 @@ def scattering_residuals(traj: Trajectory, t: float,
         raise InvalidInputError("need snapshots bracketing t on both sides")
     u = traj.snapshots[idx]
     g = u.grid
+    spectra = {j: forward_transform(traj.snapshots[j]) for j in (idx - 1, idx, idx + 1)}
 
-    bp = BandProjection(t, alpha)
-    q, w_plus = _quadratic_product(u, bp)
-    umod = compute_umod(w_plus, bp.lower)
+    def umod_at(j: int, tj: float) -> tuple[np.ndarray, np.ndarray]:
+        bp = BandProjection(tj, alpha)
+        return _umod(_Spectrum(g, _plus_coeffs(_band(spectra[j], bp)), False, tj), bp.lower)
 
-    ux = derivative(u, dx_order=1)
-    full_nl = RealField(g, u.samples * ux.samples, t)
-    helper = l2_norm(RealField(g, full_nl.samples - q.samples, t))
-
-    def umod_at(j: int) -> RealField:
-        uj = traj.snapshots[j]
-        bpj = BandProjection(uj.time_tag, alpha)
-        _, wp = band_project(uj, bpj)
-        return compute_umod(wp, bpj.lower)
-
-    um_prev, um_next = umod_at(idx - 1), umod_at(idx + 1)
-    h = times[idx + 1] - times[idx - 1]
-    dt_umod = (um_next.samples - um_prev.samples) / h
-    flow = (dt_umod
-            + derivative(umod, dx_order=3).samples
-            - derivative(umod, dx_order=-1, dy_order=2).samples)
-    modscat = l2_norm(RealField(g, q.samples - flow, t))
-
-    b_prev = _back_propagated(traj.snapshots[idx - 1])
-    b_here = _back_propagated(u)
-    drift = spectral_l2_norm(
-        SpectralField(g, b_here.coeffs - b_prev.coeffs, 0.0))
-
-    return ScatterReport(
-        t=t, umod_l2=l2_norm(umod), scat_helper_residual=helper,
-        modscat_residual=modscat, back_propagated_data_drift=drift)
+    q_half, umod = umod_at(idx, t)
+    ux = _Spectrum(g, spectra[idx].coeffs, True, t, u.samples).d(1).samples
+    helper = l2_norm(RealField(g, u.samples * ux - 2 * q_half, t))
+    um_prev, um_next = (umod_at(j, times[j])[1] for j in (idx - 1, idx + 1))
+    # d_t u_mod + (dx^3 - dx^{-1} dy^2) u_mod, on the coefficients
+    flow = ((um_next - um_prev) / (times[idx + 1] - times[idx - 1])
+            + (_symbol(g, 3) - _symbol(g, -1, 2)) * umod)
+    modscat = l2_norm(RealField(g, 2 * q_half - _Spectrum(g, flow, True, t).samples, t))
+    b_prev, b_here = (linear_propagate(spectra[j], -times[j]) for j in (idx - 1, idx))
+    drift = spectral_l2_norm(SpectralField(g, b_here.coeffs - b_prev.coeffs, 0.0))
+    return ScatterReport(t=t, umod_l2=spectral_l2_norm(SpectralField(g, umod, t)),
+                         scat_helper_residual=helper, modscat_residual=modscat,
+                         back_propagated_data_drift=drift)
 
 
 def extract_scatter_data(traj: Trajectory, min_fraction: float = 0.25
@@ -196,7 +181,7 @@ def extract_scatter_data(traj: Trajectory, min_fraction: float = 0.25
     late = [s for s in traj.snapshots if s.time_tag >= times[-1] * min_fraction]
     if len(late) < 2:
         raise InvalidInputError("too few late snapshots for a drift series")
-    backs = [_back_propagated(s) for s in late]
+    backs = [linear_propagate(forward_transform(s), -s.time_tag) for s in late]
     drift_series = []
     for i in range(1, len(backs)):
         a, b = backs[i - 1], backs[i]

@@ -17,7 +17,7 @@ from kpwave.grids import (
     Grid2D,
     RealField,
     SpectralField,
-    forward_transform_complex,
+    forward_transform,
     inverse_transform,
     l2_norm,
     project_field,
@@ -215,7 +215,7 @@ class TestLinearRunConcentration:
             if T ** (1.0 / 3.0) * piece.lam < 4.0 or piece.lam > 1.5:
                 continue
             split = hyperbolic_elliptic_split(piece, 0.5)
-            F = forward_transform_complex(split.hyp)
+            F = forward_transform(split.hyp)
             band = ((np.abs(g.XI) >= piece.lam * 2**-1.5)
                     & (np.abs(g.XI) <= piece.lam * 2**1.5))
             tail = np.sum(np.abs(F.coeffs[~band]) ** 2)

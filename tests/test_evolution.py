@@ -7,6 +7,7 @@ import pytest
 
 from kpwave.errors import DomainError, InvalidInputError, StepFailureError
 from kpwave.evolution import (
+    BackgroundInterpolator,
     SolverConfig,
     Trajectory,
     apply_symmetry,
@@ -205,6 +206,19 @@ class TestLinearized:
             u = bg.field_at(bg.nearest_time(tm), tol=1.0)
             bound = sup_norm(derivative(u, dx_order=1)) * (0.5 * (l2_norm(a) ** 2 + l2_norm(b) ** 2))
             assert d_sq <= bound + 1e-6
+
+    def test_background_evaluated_once_per_distinct_time(self, monkeypatch):
+        # a step needs the background at t, t + dt/2 and t + dt, and t + dt
+        # is the next step's t: 2n + 1 evaluations for n steps
+        g = Grid2D(64, 32, 20.0, 10.0, 0.0, 0.0)
+        bg = self._background(g, T=0.6, dt=0.05)
+        calls = []
+        samples_at = BackgroundInterpolator.samples_at
+        monkeypatch.setattr(BackgroundInterpolator, "samples_at",
+                            lambda self, t: calls.append(t) or samples_at(self, t))
+        w0 = derivative(bg.snapshots[0], dx_order=1)
+        evolve_linearized(w0, bg, SolverConfig(dt=0.05, t0=0.0, t_end=0.5))
+        assert len(calls) == 21
 
     def test_background_gap_rejected(self, grid, rng):
         zero = RealField(grid, np.zeros(grid.shape), 0.0)
