@@ -3,6 +3,9 @@ the linearized flow on a stored background, and the equation's symmetries.
 
 The linear phase is purely imaginary, so the integrating factor is unitary
 and the linear part of every step is exact.
+The nonlinear and linearized flows step the rfft2 half spectrum of the
+samples (normalized by 1/(nx*ny), without the physical phase); the phase and
+the full lattice appear only where a public `SpectralField` enters or leaves.
 """
 
 from __future__ import annotations
@@ -142,13 +145,17 @@ def _schedule(cfg: SolverConfig, snapshot_times, linear: bool = False):
 
 
 class _Workspace:
-    """Stepping data of one grid: omega, the folded -i*xi*mask multiplier,
-    the physical phase, and the exponentials of the last dt used."""
+    """Stepping data of one grid on the rfft2 half spectrum (the first
+    ny//2 + 1 columns): omega, the folded -i*xi*mask/(nx*ny) multiplier and
+    the exponentials of the last dt used.  The state is rfft2(samples)/(nx*ny)
+    without the physical phase, which only `to_spectral`/`from_spectral` apply."""
 
     def __init__(self, grid: Grid2D, dealias: bool):
-        self.omega = omega_values(grid)
-        self.neg_dx = -multiplier_dx(grid).values * (grid.dealias_mask if dealias else 1.0)
-        self.phase = grid._phase
+        h = grid.ny // 2 + 1
+        self.grid = grid
+        self.omega = omega_values(grid)[:, :h]
+        mask = grid.dealias_mask[:, :h] if dealias else 1.0
+        self.neg_dx = multiplier_dx(grid).values[:, :h] * mask / -(grid.nx * grid.ny)
         self._exp = (None, None, None)
 
     def exponentials(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -158,16 +165,37 @@ class _Workspace:
             self._exp = (dt, e1, e1 * e1)
         return self._exp[1:]
 
+    def ingest(self, samples: np.ndarray) -> np.ndarray:  # the xi = 0 row zeroed
+        coeffs = sfft.rfft2(samples, norm="forward")
+        coeffs[0] = 0.0
+        return coeffs
+
+    def samples(self, coeffs: np.ndarray) -> np.ndarray:
+        return sfft.irfft2(coeffs, s=self.grid.shape, norm="forward")
+
+    def real_field(self, coeffs: np.ndarray, t: float) -> RealField:
+        return RealField(self.grid, self.samples(coeffs), t)
+
+    def from_spectral(self, F: SpectralField) -> np.ndarray:
+        h = self.omega.shape[1]
+        return F.coeffs[:, :h] / self.grid._phase[:, :h]
+
+    def to_spectral(self, coeffs: np.ndarray, t: float) -> SpectralField:
+        """The full lattice: eta < 0 columns mirror eta > 0 ones conjugated.
+        The phase is a real +-1 on the Nyquist lines, so the result stays Hermitian."""
+        g, h = self.grid, coeffs.shape[1]
+        full = np.empty(g.shape, dtype=complex)
+        full[:, :h] = coeffs
+        np.conj(coeffs[-np.arange(g.nx), h - 2:0:-1], out=full[:, h:])
+        full *= g._phase
+        return SpectralField(g, full, t)
+
     def flux(self, coeffs: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-        """Spectral -d/dx(w^2/2) of the field w with these coefficients, or
-        -d/dx(u*w) for background samples u (the linearized term)."""
-        w = sfft.ifft2(coeffs / self.phase)
-        if u is None:
-            w = w.real * coeffs.size
-            w = 0.5 * w * w
-        else:
-            w = u * (w * coeffs.size)
-        return self.neg_dx * (sfft.fft2(w) / coeffs.size * self.phase)
+        """-d/dx(w^2/2) of the field w with this state, or -d/dx(u*w) for
+        background samples u (the linearized term)."""
+        w = self.samples(coeffs)
+        w = 0.5 * w * w if u is None else u * w
+        return self.neg_dx * sfft.rfft2(w)
 
     def ifrk4_step(self, coeffs: np.ndarray, dt: float, nl) -> np.ndarray:
         """One integrating-factor RK4 step of dc/dt = i*omega*c + nl(c, s),
@@ -196,23 +224,32 @@ def _workspace(grid: Grid2D, dealias: bool) -> _Workspace:
     return ws
 
 
+def _l2_squared(coeffs: np.ndarray) -> float:
+    """sum |c|^2 over the full lattice: interior half-spectrum columns count
+    twice, the eta = 0 and y-Nyquist columns once."""
+    ends = coeffs[:, [0, -1]]
+    return 2 * np.vdot(coeffs, coeffs).real - np.vdot(ends, ends).real
+
+
 def _nonlinear_flow(ws: _Workspace, dt: float):  # advance(coeffs, t) of the full equation
     return lambda c, t: ws.ifrk4_step(c, dt, lambda c, s: ws.flux(c))
 
 
-def _march(F: SpectralField, dt: float, nsteps: int, snap_steps, advance, record) -> list:
-    """The stepping loop: take `nsteps` steps of `advance(coeffs, t)` from F
-    and return `record(state)` at each index in `snap_steps`, tagged t0 + i*dt.
-    The blow-up guard compares each step's L^2 norm with the previous one."""
-    coeffs, t0, wanted, out = F.coeffs, F.time_tag, set(snap_steps), []
-    norm = np.vdot(coeffs, coeffs).real
+def _march(coeffs: np.ndarray, t0: float, dt: float, nsteps: int, snap_steps,
+           advance, record) -> list:
+    """The stepping loop: take `nsteps` steps of `advance(coeffs, t)` from the
+    state `coeffs` at t0 and return `record(state, t0 + i*dt)` at each index
+    in `snap_steps`.  The blow-up guard compares each step's L^2 norm with
+    the previous one."""
+    wanted, out = set(snap_steps), []
+    norm = _l2_squared(coeffs)
     for i in range(nsteps + 1):
         if i in wanted:
-            out.append(record(SpectralField(F.grid, coeffs, t0 + i * dt)))
+            out.append(record(coeffs, t0 + i * dt))
         if i == nsteps:
             return out
         new = advance(coeffs, t0 + i * dt)
-        new_norm = np.vdot(new, new).real
+        new_norm = _l2_squared(new)
         if not new_norm <= BLOWUP_FACTOR**2 * max(norm, 1e-300):
             raise StepFailureError(
                 f"blow-up at step {i + 1} (t={t0 + (i + 1) * dt:.6g}): the L^2 norm "
@@ -222,11 +259,11 @@ def _march(F: SpectralField, dt: float, nsteps: int, snap_steps, advance, record
 
 def nonlinear_term(u: RealField, dealias: bool = True) -> RealField:
     """-d/dx(u^2/2) with 2/3-rule dealiasing; exact zero x-mean output."""
-    F = forward_transform(u)
-    if not F.is_projected:
+    coeffs = sfft.rfft2(u.samples, norm="forward")
+    if np.abs(coeffs[0]).max() > 1e-13 * np.abs(coeffs).max():
         raise InvalidInputError("field must be zero-x-mode projected")
-    flux = _workspace(u.grid, dealias).flux(F.coeffs)
-    return inverse_transform(SpectralField(u.grid, flux, u.time_tag))
+    ws = _workspace(u.grid, dealias)
+    return ws.real_field(ws.flux(coeffs), u.time_tag)
 
 
 def step_nonlinear(F: SpectralField, dt: float, dealias: bool = True) -> SpectralField:
@@ -235,8 +272,9 @@ def step_nonlinear(F: SpectralField, dt: float, dealias: bool = True) -> Spectra
         raise InvalidInputError("field must be zero-x-mode projected")
     if not dt > 0:
         raise InvalidInputError("dt must be positive")
-    flow = _nonlinear_flow(_workspace(F.grid, dealias), dt)
-    return _march(F, dt, 1, [1], flow, lambda S: S)[0]
+    ws = _workspace(F.grid, dealias)
+    return _march(ws.from_spectral(F), F.time_tag, dt, 1, [1],
+                  _nonlinear_flow(ws, dt), ws.to_spectral)[0]
 
 
 class BackgroundInterpolator:
@@ -293,8 +331,8 @@ def step_linearized(w: SpectralField, background: Trajectory | BackgroundInterpo
         raise DomainError("background trajectory does not cover the step")
     ws = _workspace(w.grid, dealias)
     stages = bg.stage_samples(t, dt)
-    out = ws.ifrk4_step(w.coeffs, dt, lambda c, s: ws.flux(c, stages[s]))
-    return SpectralField(w.grid, out, t + dt)
+    out = ws.ifrk4_step(ws.from_spectral(w), dt, lambda c, s: ws.flux(c, stages[s]))
+    return ws.to_spectral(out, t + dt)
 
 
 def evolve(u0: RealField, cfg: SolverConfig,
@@ -310,13 +348,14 @@ def evolve(u0: RealField, cfg: SolverConfig,
     propagator jumps to t0, t_end and any requested time in between.
     """
     schedule = _schedule(cfg, snapshot_times, linear)
-    u0 = project_field(u0)
-    F = SpectralField(u0.grid, forward_transform(u0).coeffs, cfg.t0)
     if linear:
+        u0 = project_field(u0)
+        F = SpectralField(u0.grid, forward_transform(u0).coeffs, cfg.t0)
         snaps = [inverse_transform(linear_propagate(F, t - cfg.t0)) for t in schedule]
         return Trajectory(snaps, cfg, {"mode": "linear"})
-    flow = _nonlinear_flow(_workspace(u0.grid, cfg.dealias), cfg.dt)
-    return Trajectory(_march(F, cfg.dt, *schedule, flow, inverse_transform), cfg,
+    ws = _workspace(u0.grid, cfg.dealias)
+    return Trajectory(_march(ws.ingest(u0.samples), cfg.t0, cfg.dt, *schedule,
+                             _nonlinear_flow(ws, cfg.dt), ws.real_field), cfg,
                       {"mode": "nonlinear"})
 
 
@@ -325,16 +364,14 @@ def evolve_linearized(w0: RealField, background: Trajectory, cfg: SolverConfig,
     """Integrate the linearized equation along a stored background, under
     the exact-time rule of `evolve`."""
     schedule = _schedule(cfg, snapshot_times)
-    w0 = project_field(w0)
     ws = _workspace(w0.grid, cfg.dealias)  # held, so every step_linearized shares it
     bg = BackgroundInterpolator(background)
-    W = SpectralField(w0.grid, forward_transform(w0).coeffs, cfg.t0)
 
     def flow(coeffs, t):
-        return step_linearized(SpectralField(W.grid, coeffs, t), bg, cfg.dt, cfg.dealias).coeffs
+        return ws.from_spectral(step_linearized(ws.to_spectral(coeffs, t), bg, cfg.dt, cfg.dealias))
 
-    return Trajectory(_march(W, cfg.dt, *schedule, flow, inverse_transform), cfg,
-                      {"mode": "linearized"})
+    return Trajectory(_march(ws.ingest(w0.samples), cfg.t0, cfg.dt, *schedule, flow,
+                             ws.real_field), cfg, {"mode": "linearized"})
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ Conventions fixed here and relied on everywhere else:
 * One transform pair: `forward_transform` takes a real or a complex
   field; `inverse_transform` returns a real field and refuses coefficients
   that break Hermitian symmetry, `inverse_transform_complex` returns a
-  complex field.
+  complex field.  The stepper in `evolution` keeps its own private pair,
+  rfft2/irfft2 on the half spectrum without the phase, and meets these
+  conventions only where a `SpectralField` enters or leaves it.
 * Nyquist modes sit on the negative half of the lattice; odd-symbol
   multipliers are zeroed there to preserve realness.
 * A real field's Nyquist coefficients are their own mirrors, so the phase
@@ -282,9 +284,9 @@ def dispersion_omega(xi: float, eta: float) -> float:
 
 def omega_values(grid: Grid2D) -> np.ndarray:
     """omega on the lattice; zero on the xi = 0 line and the x-Nyquist row."""
-    xi = grid.XI.copy()
-    xi[0, :] = 1.0  # placeholder, zeroed below
-    w = grid.XI**3 + grid.ETA**2 / xi
+    xi = grid.xi.copy()
+    xi[0] = 1.0  # placeholder, zeroed below
+    w = (grid.xi**3)[:, None] + (grid.eta**2)[None, :] / xi[:, None]
     w[0, :] = 0.0
     w[grid.nx // 2, :] = 0.0
     return w

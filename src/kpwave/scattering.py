@@ -118,20 +118,16 @@ def _umod(w_plus: _Spectrum, lower: float) -> tuple[np.ndarray, np.ndarray]:
     return q.samples, (8.0 / 3.0) * multiplier_dx(g, -3).values * Fq.coeffs
 
 
-def compute_umod(w_plus: ComplexField, lower: float | None = None) -> RealField:
+def compute_umod(w_plus: ComplexField, lower: float) -> RealField:
     """The quadratic correction (8/3) dx^{-3} Re(w+ w+_x).
 
+    `lower` is the smallest |xi| that w+ carries (the band's lower edge).
     The triple inverse derivative is well defined because the quadratic
     product lives at x-frequencies >= 2 * lower; input whose product has
     content below that is rejected.
     """
-    g = w_plus.grid
-    if lower is None:
-        Fw = forward_transform(
-            RealField(g, 2 * w_plus.samples.real, w_plus.time_tag))
-        lower = _min_positive_content(Fw)
     _, coeffs = _umod(_Spectrum.of(w_plus), lower)
-    return inverse_transform(SpectralField(g, coeffs, w_plus.time_tag))
+    return inverse_transform(SpectralField(w_plus.grid, coeffs, w_plus.time_tag))
 
 
 def scattering_residuals(traj: Trajectory, t: float,

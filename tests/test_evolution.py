@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from kpwave.errors import DomainError, InvalidInputError, StepFailureError
 from kpwave.evolution import (
     BackgroundInterpolator,
     SolverConfig,
     Trajectory,
+    _l2_squared,
+    _workspace,
     apply_symmetry,
     evolve,
     evolve_linearized,
@@ -25,10 +28,12 @@ from kpwave.grids import (
     SpectralField,
     apply_multiplier,
     forward_transform,
+    hermitian_defect,
     inverse_transform,
     l2_norm,
     multiplier_dx,
     multiplier_dy,
+    omega_values,
     project_field,
     spectral_l2_norm,
     sup_norm,
@@ -226,6 +231,77 @@ class TestLinearized:
         bg = Trajectory([zero, zeroT])
         with pytest.raises(DomainError):
             step_linearized(random_spectral(grid, rng), bg, 2.0)
+
+
+def _reference_ifrk4(u0, dt, nsteps, background=None):
+    """`nsteps` full-spectrum IFRK4 steps from the samples u0 (x-mean
+    removed): the flow of -d/dx(u^2/2), or of -d/dx(b*w) for a background
+    interpolator b.  Returns the samples at the end."""
+    g, n = u0.grid, u0.samples.size
+    neg_dx = -multiplier_dx(g).values * g.dealias_mask
+    e1 = np.exp(1j * omega_values(g) * (dt / 2))
+    e2 = e1 * e1
+
+    def nl(c, t):
+        w = (sfft.ifft2(c) * n).real
+        w = 0.5 * w * w if background is None else background.samples_at(t) * w
+        return neg_dx * sfft.fft2(w) / n
+
+    c = sfft.fft2(u0.samples) / n
+    c[0] = 0.0
+    for i in range(nsteps):
+        t = u0.time_tag + i * dt
+        n1 = nl(c, t)
+        n2 = nl(e1 * (c + dt / 2 * n1), t + dt / 2)
+        n3 = nl(e1 * c + dt / 2 * n2, t + dt / 2)
+        n4 = nl(e2 * c + dt * e1 * n3, t + dt)
+        c = e2 * c + dt / 6 * (e2 * n1 + 2 * e1 * (n2 + n3) + n4)
+    return (sfft.ifft2(c) * n).real
+
+
+class TestHalfSpectrum:
+    """Stepping on the rfft2 half spectrum on offset grids, with white noise
+    so that both Nyquist lines carry content."""
+
+    GRIDS = [Grid2D(64, 32, 20.0, 10.0, 0.3, 0.0), Grid2D(64, 32, 20.0, 10.0, 0.0, 0.37)]
+
+    @staticmethod
+    def _noise(g, amp=1e-2, seed=5):  # with an x-mean, which the stepper drops
+        rng = np.random.default_rng(seed)
+        return RealField(g, amp * rng.standard_normal(g.shape), 0.0)
+
+    def _background(self, g):
+        return evolve(self._noise(g, seed=6), SolverConfig(dt=0.01, t0=0.0, t_end=0.2))
+
+    @pytest.mark.parametrize("g", GRIDS)
+    def test_single_steps_are_hermitian_and_match_reference(self, g):
+        u0, dt = project_field(self._noise(g)), 0.01
+        bg = self._background(g)
+        F = forward_transform(u0)
+        for out, ref in ((step_nonlinear(F, dt), _reference_ifrk4(u0, dt, 1)),
+                         (step_linearized(F, bg, dt),
+                          _reference_ifrk4(u0, dt, 1, BackgroundInterpolator(bg)))):
+            assert hermitian_defect(out) <= 1e-14
+            got = inverse_transform(out).samples
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("g", GRIDS)
+    def test_ten_steps_match_full_spectrum_reference(self, g):
+        u0, dt = self._noise(g), 0.01
+        bg = self._background(g)
+        cfg = SolverConfig(dt=dt, t0=0.0, t_end=10 * dt)
+        for traj, ref in ((evolve(u0, cfg), _reference_ifrk4(u0, dt, 10)),
+                          (evolve_linearized(u0, bg, cfg),
+                           _reference_ifrk4(u0, dt, 10, BackgroundInterpolator(bg)))):
+            got = traj.snapshots[-1].samples
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("g", GRIDS)
+    def test_guard_norm_is_the_full_lattice_norm(self, g):
+        u = project_field(self._noise(g))
+        half = _workspace(g, True).ingest(u.samples)
+        full = spectral_l2_norm(forward_transform(u)) ** 2 / (g.Lx * g.Ly)
+        assert abs(_l2_squared(half) - full) <= 1e-14 * full
 
 
 class TestSymmetries:

@@ -1,11 +1,14 @@
 """How many FFTs each diagnostic entry point takes: one spectrum per input
-field, and derivatives as symbol products with one inverse each."""
+field, and derivatives as symbol products with one inverse each.  And how
+many the stepper takes: half-spectrum transforms only."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from kpwave import grids
+from kpwave import evolution, grids
 from kpwave.decompose import pointwise_profile
 from kpwave.evolution import SolverConfig, evolve
 from kpwave.grids import Grid2D, RealField, project_field
@@ -19,10 +22,12 @@ FFT_FUNCS = ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irff
 
 
 class _CountingFFT:
-    """Stands in for `scipy.fft` inside kpwave.grids and counts transforms."""
+    """Stands in for `scipy.fft` inside kpwave.grids and kpwave.evolution
+    and counts transforms, in total and by name."""
 
     def __init__(self):
         self.calls = 0
+        self.names = Counter()
 
     def __getattr__(self, name):
         fn = getattr(scipy.fft, name)
@@ -31,6 +36,7 @@ class _CountingFFT:
 
         def counted(*args, **kwargs):
             self.calls += 1
+            self.names[name] += 1
             return fn(*args, **kwargs)
         return counted
 
@@ -39,6 +45,7 @@ class _CountingFFT:
 def fft_count(monkeypatch):
     counter = _CountingFFT()
     monkeypatch.setattr(grids, "sfft", counter)
+    monkeypatch.setattr(evolution, "sfft", counter)
     return counter
 
 
@@ -86,3 +93,14 @@ def test_scattering_residuals(fft_count):
     fft_count.calls = 0
     scattering_residuals(traj, 8.0)
     assert fft_count.calls <= 18  # a chain of `derivative` calls took 31
+
+
+def test_nonlinear_evolve(fft_count):
+    # one rfft2 in, an irfft2/rfft2 pair per IFRK4 stage, one irfft2 per snapshot
+    g = Grid2D(64, 32, 20.0, 10.0, 0.3, 0.0)
+    u0 = pulse(g, 0.1, 2.0, 2.0)
+    fft_count.names.clear()
+    nsteps, times = 10, [0.0, 0.5, 1.0]
+    evolve(u0, SolverConfig(dt=0.1, t0=0.0, t_end=1.0), snapshot_times=times)
+    assert fft_count.names == Counter(rfft2=1 + 4 * nsteps,
+                                      irfft2=4 * nsteps + len(times))
