@@ -13,11 +13,12 @@ from .errors import DomainError, InvalidInputError
 from .grids import (
     ComplexField,
     RealField,
-    SpectralField,
     conjugate_mirror,
-    forward_transform,
-    inverse_transform_complex,
+    full_lattice,
+    is_projected,
     l2_norm,
+    samples_of,
+    spectrum,
 )
 from .bumps import plateau_cutoff, smooth_step
 from .vfields import VectorFieldId, _ly_spectrum, _Spectrum, _vector_field, _x_norm, z_coordinate
@@ -101,13 +102,15 @@ class PointwiseProfile:
     ell_third_rhs: float = 0.0     # ||u||_X
 
 
-def _plus_coeffs(F: SpectralField) -> np.ndarray:
-    """The coefficients of u+ (see `split_sign_frequencies`)."""
-    if not F.is_projected:
+def _plus_coeffs(coeffs: np.ndarray, grid) -> np.ndarray:
+    """The full-lattice coefficients of u+ (see `split_sign_frequencies`)
+    from the half spectrum of u."""
+    if not is_projected(coeffs):
         raise InvalidInputError("field must be zero-x-mode projected")
-    g = F.grid
-    c = np.where(g.XI > 0, F.coeffs, 0.0)
-    c[g.nx // 2, :] = F.coeffs[g.nx // 2, :] / 2
+    c = full_lattice(coeffs, grid.ny)
+    nyquist = c[grid.nx // 2] / 2
+    c[grid.xi <= 0] = 0.0
+    c[grid.nx // 2] = nyquist
     return c
 
 
@@ -117,19 +120,17 @@ def split_sign_frequencies(u: RealField) -> tuple[ComplexField, ComplexField]:
     The (self-paired) x-Nyquist row is shared half-and-half so that the
     reconstruction is exact for any input.
     """
-    c = _plus_coeffs(forward_transform(u))
-    u_plus = inverse_transform_complex(SpectralField(u.grid, c, u.time_tag))
-    u_minus = ComplexField(u.grid, np.conj(u_plus.samples), u.time_tag)
+    g = u.grid
+    u_plus = ComplexField(g, samples_of(_plus_coeffs(spectrum(u.samples), g), g.shape), u.time_tag)
+    u_minus = ComplexField(g, np.conj(u_plus.samples), u.time_tag)
     return u_plus, u_minus
 
 
-def _dyadic_coeffs(F: SpectralField, delta: float):
+def _dyadic_coeffs(g, c: np.ndarray, delta: float):
     """Yield (lambda, coefficients) of each dyadic piece of the
-    positive-frequency coefficients F."""
+    positive-frequency full-lattice coefficients c."""
     if not (0 < delta <= 1):
         raise InvalidInputError("delta must lie in (0, 1]")
-    g = F.grid
-    c = F.coeffs
     scale = np.abs(c).max()
     # the x-Nyquist column may carry the shared half of a real mode; any
     # other non-positive column must be empty
@@ -162,8 +163,8 @@ def dyadic_decompose(u_plus: ComplexField, delta: float = 1.0) -> list[DyadicPie
     """Partition-of-unity decomposition in x-frequency over the 2^{delta Z}
     lattice; the pieces sum back to the input exactly."""
     g, t = u_plus.grid, u_plus.time_tag
-    return [DyadicPiece(lam, inverse_transform_complex(SpectralField(g, c, t)))
-            for lam, c in _dyadic_coeffs(forward_transform(u_plus), delta)]
+    return [DyadicPiece(lam, ComplexField(g, samples_of(c, g.shape), t))
+            for lam, c in _dyadic_coeffs(g, spectrum(u_plus.samples), delta)]
 
 
 def hyperbolic_elliptic_split(piece: DyadicPiece, width: float = 0.5) -> HypEllSplit:
@@ -224,10 +225,10 @@ def pointwise_profile(u: RealField, t: float, delta: float = 1.0,
     # u_hyp = 2 Re(hyp_plus), with hyp_plus's coefficients summed piece by piece
     hyp_plus, hyp_coeffs = np.zeros(g.shape, dtype=complex), np.zeros(g.shape, dtype=complex)
     lambda_rows = []
-    for lam, c in _dyadic_coeffs(SpectralField(g, _plus_coeffs(SpectralField(g, S.coeffs)), t), delta):
+    for lam, c in _dyadic_coeffs(g, _plus_coeffs(S.coeffs, g), delta):
         if lam < t ** (-1.0 / 3.0):  # wholly elliptic
             continue
-        piece = _Spectrum(g, c, False, t)
+        piece = _Spectrum(g, c, t)
         split = hyperbolic_elliptic_split(DyadicPiece(lam, piece.field()), width)
         hyp = _Spectrum.of(split.hyp)
         hyp_plus += hyp.samples
@@ -244,7 +245,7 @@ def pointwise_profile(u: RealField, t: float, delta: float = 1.0,
 
     u_hyp = 2 * hyp_plus.real
     u_ell = u.samples - u_hyp
-    dx_hyp = _Spectrum(g, hyp_coeffs, False, t, hyp_plus).d(1)
+    dx_hyp = _Spectrum(g, hyp_coeffs, t, hyp_plus).d(1)
     hyp_x = 2 * dx_hyp.samples.real
     ux = S.d(1)  # held, so that the X norm shares it
     ell_x = ux.samples - hyp_x
@@ -282,7 +283,8 @@ def pointwise_profile(u: RealField, t: float, delta: float = 1.0,
     hyp_weighted = l2_norm(dx_hyp.field(w_pos * lz_dx_hyp))
     inv_v = np.where(v > v_floor, 1.0 / np.maximum(v, v_floor), 0.0)
     # u_hyp = hyp_plus + conj(hyp_plus), and Ly^2 u_hyp stays a spectrum for dx^3
-    u_hyp_spectrum = _Spectrum(g, hyp_coeffs + conjugate_mirror(hyp_coeffs), True, t, u_hyp)
+    u_hyp_coeffs = (hyp_coeffs + conjugate_mirror(hyp_coeffs))[:, :S.coeffs.shape[1]]
+    u_hyp_spectrum = _Spectrum(g, u_hyp_coeffs, t, u_hyp)
     third = _ly_spectrum(_ly_spectrum(u_hyp_spectrum, t), t).d(3).samples
     ell_third = l2_norm(S.field(inv_v * third))
 

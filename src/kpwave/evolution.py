@@ -3,9 +3,10 @@ the linearized flow on a stored background, and the equation's symmetries.
 
 The linear phase is purely imaginary, so the integrating factor is unitary
 and the linear part of every step is exact.
-The nonlinear and linearized flows step the rfft2 half spectrum of the
-samples (normalized by 1/(nx*ny), without the physical phase); the phase and
-the full lattice appear only where a public `SpectralField` enters or leaves.
+The nonlinear, linearized and exact linear flows act on the rfft2 half
+spectrum of the samples (`grids.spectrum`, without the physical phase); the
+phase and the full lattice appear only where a public `SpectralField` enters
+or leaves.
 """
 
 from __future__ import annotations
@@ -25,12 +26,18 @@ from .grids import (
     RealField,
     SpectralField,
     forward_transform,
+    from_spectral,
+    half_l2_squared as _l2_squared,
+    ingest,
     inverse_transform,
+    is_projected,
     load_snapshot,
     multiplier_dx,
     omega_values,
-    project_field,
+    samples_of,
     save_snapshot,
+    spectrum,
+    to_spectral,
 )
 
 BLOWUP_FACTOR = 1e6
@@ -114,8 +121,13 @@ def linear_propagate(F: SpectralField, dt: float) -> SpectralField:
     """Exact linear flow: multiply by exp(i*omega*dt); unitary on L^2."""
     if not F.is_projected:
         raise InvalidInputError("field must be zero-x-mode projected")
-    phase = np.exp(1j * omega_values(F.grid) * dt)
-    return SpectralField(F.grid, F.coeffs * phase, F.time_tag + dt)
+    return SpectralField(F.grid, _linear_flow(F.coeffs, F.grid, dt), F.time_tag + dt)
+
+
+def _linear_flow(coeffs: np.ndarray, grid: Grid2D, dt: float) -> np.ndarray:
+    """The exact linear flow over dt of a projected field's coefficients, on
+    the full lattice or a half spectrum."""
+    return coeffs * np.exp(1j * omega_values(grid)[:, :coeffs.shape[1]] * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +159,10 @@ def _schedule(cfg: SolverConfig, snapshot_times, linear: bool = False):
 class _Workspace:
     """Stepping data of one grid on the rfft2 half spectrum (the first
     ny//2 + 1 columns): omega, the folded -i*xi*mask/(nx*ny) multiplier and
-    the exponentials of the last dt used.  The state is rfft2(samples)/(nx*ny)
-    without the physical phase, which only `to_spectral`/`from_spectral` apply."""
+    the exponentials of the last dt used.  The state is `grids.ingest`'s
+    raw half spectrum, which `grids.to_spectral`/`from_spectral` convert."""
+
+    ingest = staticmethod(ingest)
 
     def __init__(self, grid: Grid2D, dealias: bool):
         h = grid.ny // 2 + 1
@@ -165,35 +179,13 @@ class _Workspace:
             self._exp = (dt, e1, e1 * e1)
         return self._exp[1:]
 
-    def ingest(self, samples: np.ndarray) -> np.ndarray:  # the xi = 0 row zeroed
-        coeffs = sfft.rfft2(samples, norm="forward")
-        coeffs[0] = 0.0
-        return coeffs
-
-    def samples(self, coeffs: np.ndarray) -> np.ndarray:
-        return sfft.irfft2(coeffs, s=self.grid.shape, norm="forward")
-
     def real_field(self, coeffs: np.ndarray, t: float) -> RealField:
-        return RealField(self.grid, self.samples(coeffs), t)
-
-    def from_spectral(self, F: SpectralField) -> np.ndarray:
-        h = self.omega.shape[1]
-        return F.coeffs[:, :h] / self.grid._phase[:, :h]
-
-    def to_spectral(self, coeffs: np.ndarray, t: float) -> SpectralField:
-        """The full lattice: eta < 0 columns mirror eta > 0 ones conjugated.
-        The phase is a real +-1 on the Nyquist lines, so the result stays Hermitian."""
-        g, h = self.grid, coeffs.shape[1]
-        full = np.empty(g.shape, dtype=complex)
-        full[:, :h] = coeffs
-        np.conj(coeffs[-np.arange(g.nx), h - 2:0:-1], out=full[:, h:])
-        full *= g._phase
-        return SpectralField(g, full, t)
+        return RealField(self.grid, samples_of(coeffs, self.grid.shape), t)
 
     def flux(self, coeffs: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
         """-d/dx(w^2/2) of the field w with this state, or -d/dx(u*w) for
         background samples u (the linearized term)."""
-        w = self.samples(coeffs)
+        w = samples_of(coeffs, self.grid.shape)
         w = 0.5 * w * w if u is None else u * w
         return self.neg_dx * sfft.rfft2(w)
 
@@ -224,15 +216,16 @@ def _workspace(grid: Grid2D, dealias: bool) -> _Workspace:
     return ws
 
 
-def _l2_squared(coeffs: np.ndarray) -> float:
-    """sum |c|^2 over the full lattice: interior half-spectrum columns count
-    twice, the eta = 0 and y-Nyquist columns once."""
-    ends = coeffs[:, [0, -1]]
-    return 2 * np.vdot(coeffs, coeffs).real - np.vdot(ends, ends).real
-
-
 def _nonlinear_flow(ws: _Workspace, dt: float):  # advance(coeffs, t) of the full equation
     return lambda c, t: ws.ifrk4_step(c, dt, lambda c, s: ws.flux(c))
+
+
+def _linearized_flow(ws: _Workspace, bg: "BackgroundInterpolator", dt: float):
+    """advance(coeffs, t) of the flow linearized around the background."""
+    def advance(coeffs, t):
+        stages = bg.stage_samples(t, dt)
+        return ws.ifrk4_step(coeffs, dt, lambda c, s: ws.flux(c, stages[s]))
+    return advance
 
 
 def _march(coeffs: np.ndarray, t0: float, dt: float, nsteps: int, snap_steps,
@@ -259,8 +252,8 @@ def _march(coeffs: np.ndarray, t0: float, dt: float, nsteps: int, snap_steps,
 
 def nonlinear_term(u: RealField, dealias: bool = True) -> RealField:
     """-d/dx(u^2/2) with 2/3-rule dealiasing; exact zero x-mean output."""
-    coeffs = sfft.rfft2(u.samples, norm="forward")
-    if np.abs(coeffs[0]).max() > 1e-13 * np.abs(coeffs).max():
+    coeffs = spectrum(u.samples)
+    if not is_projected(coeffs):
         raise InvalidInputError("field must be zero-x-mode projected")
     ws = _workspace(u.grid, dealias)
     return ws.real_field(ws.flux(coeffs), u.time_tag)
@@ -273,8 +266,8 @@ def step_nonlinear(F: SpectralField, dt: float, dealias: bool = True) -> Spectra
     if not dt > 0:
         raise InvalidInputError("dt must be positive")
     ws = _workspace(F.grid, dealias)
-    return _march(ws.from_spectral(F), F.time_tag, dt, 1, [1],
-                  _nonlinear_flow(ws, dt), ws.to_spectral)[0]
+    return _march(from_spectral(F), F.time_tag, dt, 1, [1],
+                  _nonlinear_flow(ws, dt), lambda c, t: to_spectral(c, F.grid, t))[0]
 
 
 class BackgroundInterpolator:
@@ -330,9 +323,7 @@ def step_linearized(w: SpectralField, background: Trajectory | BackgroundInterpo
     if not bg.covers(min(t, t + dt), max(t, t + dt)):
         raise DomainError("background trajectory does not cover the step")
     ws = _workspace(w.grid, dealias)
-    stages = bg.stage_samples(t, dt)
-    out = ws.ifrk4_step(ws.from_spectral(w), dt, lambda c, s: ws.flux(c, stages[s]))
-    return ws.to_spectral(out, t + dt)
+    return to_spectral(_linearized_flow(ws, bg, dt)(from_spectral(w), t), w.grid, t + dt)
 
 
 def evolve(u0: RealField, cfg: SolverConfig,
@@ -348,13 +339,14 @@ def evolve(u0: RealField, cfg: SolverConfig,
     propagator jumps to t0, t_end and any requested time in between.
     """
     schedule = _schedule(cfg, snapshot_times, linear)
+    g = u0.grid
     if linear:
-        u0 = project_field(u0)
-        F = SpectralField(u0.grid, forward_transform(u0).coeffs, cfg.t0)
-        snaps = [inverse_transform(linear_propagate(F, t - cfg.t0)) for t in schedule]
+        coeffs = ingest(u0.samples)
+        snaps = [RealField(g, samples_of(_linear_flow(coeffs, g, t - cfg.t0), g.shape), t)
+                 for t in schedule]
         return Trajectory(snaps, cfg, {"mode": "linear"})
-    ws = _workspace(u0.grid, cfg.dealias)
-    return Trajectory(_march(ws.ingest(u0.samples), cfg.t0, cfg.dt, *schedule,
+    ws = _workspace(g, cfg.dealias)
+    return Trajectory(_march(ingest(u0.samples), cfg.t0, cfg.dt, *schedule,
                              _nonlinear_flow(ws, cfg.dt), ws.real_field), cfg,
                       {"mode": "nonlinear"})
 
@@ -362,16 +354,15 @@ def evolve(u0: RealField, cfg: SolverConfig,
 def evolve_linearized(w0: RealField, background: Trajectory, cfg: SolverConfig,
                       snapshot_times: list[float] | None = None) -> Trajectory:
     """Integrate the linearized equation along a stored background, under
-    the exact-time rule of `evolve`."""
+    the exact-time rule of `evolve`; the background must cover [t0, t_end]."""
     schedule = _schedule(cfg, snapshot_times)
-    ws = _workspace(w0.grid, cfg.dealias)  # held, so every step_linearized shares it
     bg = BackgroundInterpolator(background)
-
-    def flow(coeffs, t):
-        return ws.from_spectral(step_linearized(ws.to_spectral(coeffs, t), bg, cfg.dt, cfg.dealias))
-
-    return Trajectory(_march(ws.ingest(w0.samples), cfg.t0, cfg.dt, *schedule, flow,
-                             ws.real_field), cfg, {"mode": "linearized"})
+    if not bg.covers(cfg.t0, cfg.t_end):
+        raise DomainError("background trajectory does not cover [t0, t_end]")
+    ws = _workspace(w0.grid, cfg.dealias)
+    return Trajectory(_march(ingest(w0.samples), cfg.t0, cfg.dt, *schedule,
+                             _linearized_flow(ws, bg, cfg.dt), ws.real_field),
+                      cfg, {"mode": "linearized"})
 
 
 # ---------------------------------------------------------------------------

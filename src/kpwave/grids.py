@@ -9,17 +9,18 @@ Conventions fixed here and relied on everywhere else:
 * Parseval: ||f||_{L^2}^2 = Lx*Ly * sum |c|^2.
 * The xi = 0 line of coefficients is zeroed on ingestion of evolution data
   (zero-x-mode convention), which makes 1/dx single valued.
-* One transform pair: `forward_transform` takes a real or a complex
-  field; `inverse_transform` returns a real field and refuses coefficients
-  that break Hermitian symmetry, `inverse_transform_complex` returns a
-  complex field.  The stepper in `evolution` keeps its own private pair,
-  rfft2/irfft2 on the half spectrum without the phase, and meets these
-  conventions only where a `SpectralField` enters or leaves it.
+* One transform pair, `spectrum`/`samples_of`, gives raw coefficients
+  (1/(nx*ny) normalized, no physical phase): the rfft2 half spectrum (the
+  first ny//2 + 1 columns) of a real field, the fft2 lattice of a complex
+  one.  Inside kpwave every operation is a diagonal symbol product or a
+  Parseval sum, which the phase does not change, so the phase exists only
+  where a public `SpectralField` enters or leaves (`to_spectral`,
+  `from_spectral`, and `inverse_transform`'s Hermitian check).
 * Nyquist modes sit on the negative half of the lattice; odd-symbol
   multipliers are zeroed there to preserve realness.
 * A real field's Nyquist coefficients are their own mirrors, so the phase
   there is the real +-1 nearest the plane-wave phase: every real field
-  round-trips, whatever the box offset.
+  round-trips through a `SpectralField`, whatever the box offset.
 """
 
 from __future__ import annotations
@@ -186,12 +187,8 @@ class SpectralField:
 
     @property
     def is_projected(self) -> bool:
-        """True iff the xi = 0 line is negligible (zero up to transform
-        roundoff relative to the largest coefficient)."""
-        scale = np.abs(self.coeffs).max()
-        if scale == 0:
-            return True
-        return bool(np.abs(self.coeffs[0, :]).max() <= 1e-13 * scale)
+        """True iff the xi = 0 line is negligible (see `is_projected`)."""
+        return is_projected(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -212,13 +209,70 @@ class Multiplier:
 # transforms
 
 
+def spectrum(samples: np.ndarray) -> np.ndarray:
+    """Raw coefficients: the rfft2 half spectrum of real samples, the fft2
+    lattice of complex ones."""
+    if np.iscomplexobj(samples):
+        return sfft.fft2(samples, norm="forward")
+    return sfft.rfft2(samples, norm="forward")
+
+
+def samples_of(coeffs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The inverse of `spectrum`: real samples of a half spectrum, complex
+    ones of a full lattice."""
+    if coeffs.shape == shape:
+        return sfft.ifft2(coeffs, norm="forward")
+    return sfft.irfft2(coeffs, s=shape, norm="forward")
+
+
+def ingest(samples: np.ndarray) -> np.ndarray:
+    """The half spectrum of real samples with the xi = 0 row zeroed."""
+    coeffs = sfft.rfft2(samples, norm="forward")
+    coeffs[0] = 0.0
+    return coeffs
+
+
+def full_lattice(coeffs: np.ndarray, ny: int) -> np.ndarray:
+    """A real field's full lattice from its half spectrum: the eta < 0
+    columns mirror the eta > 0 ones, conjugated."""
+    nx, h = coeffs.shape
+    full = np.empty((nx, ny), dtype=complex)
+    full[:, :h] = coeffs
+    np.conj(coeffs[-np.arange(nx), h - 2:0:-1], out=full[:, h:])
+    return full
+
+
+def to_spectral(coeffs: np.ndarray, grid: Grid2D, t: float) -> SpectralField:
+    """The `SpectralField` of raw coefficients, a half spectrum mirrored to
+    the full lattice (which the +-1 Nyquist phase keeps Hermitian)."""
+    if coeffs.shape != grid.shape:
+        coeffs = full_lattice(coeffs, grid.ny)
+    return SpectralField(grid, coeffs * grid._phase, t)
+
+
+def from_spectral(F: SpectralField) -> np.ndarray:
+    """The half spectrum of a real field's `SpectralField`."""
+    h = F.grid.ny // 2 + 1
+    return F.coeffs[:, :h] / F.grid._phase[:, :h]
+
+
+def is_projected(coeffs: np.ndarray) -> bool:
+    """True iff the xi = 0 row is negligible (zero up to transform roundoff
+    relative to the largest coefficient), on a half or a full lattice."""
+    scale = np.abs(coeffs).max()
+    return bool(scale == 0 or np.abs(coeffs[0]).max() <= 1e-13 * scale)
+
+
+def half_l2_squared(coeffs: np.ndarray) -> float:
+    """sum |c|^2 over the full lattice from a half spectrum: interior
+    columns count twice, the eta = 0 and y-Nyquist columns once."""
+    ends = coeffs[:, [0, -1]]
+    return 2 * np.vdot(coeffs, coeffs).real - np.vdot(ends, ends).real
+
+
 def forward_transform(f: RealField | ComplexField) -> SpectralField:
     """FFT with 1/(nx*ny) normalization and physical-coordinate phases."""
-    g = f.grid
-    coeffs = sfft.fft2(f.samples)
-    coeffs /= g.nx * g.ny
-    coeffs *= g._phase
-    return SpectralField(g, coeffs, f.time_tag)
+    return to_spectral(spectrum(f.samples), f.grid, f.time_tag)
 
 
 def conjugate_mirror(coeffs: np.ndarray) -> np.ndarray:
@@ -235,22 +289,16 @@ def hermitian_defect(F: SpectralField) -> float:
     return float(np.abs(c - conjugate_mirror(c)).max() / scale)
 
 
-def _inverse_samples(F: SpectralField) -> np.ndarray:
-    g = F.grid
-    samples = sfft.ifft2(F.coeffs / g._phase, overwrite_x=True)
-    samples *= g.nx * g.ny
-    return samples
-
-
 def inverse_transform(F: SpectralField) -> RealField:
     """Inverse FFT; rejects coefficients that break Hermitian symmetry."""
     if hermitian_defect(F) > HERMITIAN_TOL:
         raise InvalidInputError("coefficients break Hermitian symmetry")
-    return RealField(F.grid, _inverse_samples(F).real, F.time_tag)
+    return RealField(F.grid, samples_of(from_spectral(F), F.grid.shape), F.time_tag)
 
 
 def inverse_transform_complex(F: SpectralField) -> ComplexField:
-    return ComplexField(F.grid, _inverse_samples(F), F.time_tag)
+    g = F.grid
+    return ComplexField(g, samples_of(F.coeffs / g._phase, g.shape), F.time_tag)
 
 
 def apply_multiplier(F: SpectralField, m: Multiplier) -> SpectralField:
@@ -268,7 +316,7 @@ def project_zero_xmodes(F: SpectralField) -> SpectralField:
 
 def project_field(f: RealField) -> RealField:
     """Zero-x-mode projection in physical space (ingestion convention)."""
-    return inverse_transform(project_zero_xmodes(forward_transform(f)))
+    return RealField(f.grid, samples_of(ingest(f.samples), f.grid.shape), f.time_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +340,35 @@ def omega_values(grid: Grid2D) -> np.ndarray:
     return w
 
 
-def multiplier_dx(grid: Grid2D, order: int = 1) -> Multiplier:
-    """Symbol of d/dx^order; negative orders give the inverse derivative."""
-    if order == 0:
-        return Multiplier(np.ones(grid.shape), "identity")
+def dx_symbol(grid: Grid2D, order: int = 1) -> np.ndarray:
+    """The 1-D symbol of d/dx^order over xi; negative orders give the
+    inverse derivative, and odd ones vanish on the ambiguous Nyquist row."""
     with np.errstate(divide="ignore", invalid="ignore"):
         sym = (1j * grid.xi) ** order
     if order < 0:
         sym[0] = 0.0
-    if order % 2:  # odd symbol: kill the ambiguous Nyquist row
+    if order % 2:
         sym[grid.nx // 2] = 0.0
-    return Multiplier(np.broadcast_to(sym[:, None], grid.shape), f"dx^{order}")
+    return sym
 
 
-def multiplier_dy(grid: Grid2D, order: int = 1) -> Multiplier:
+def dy_symbol(grid: Grid2D, order: int = 1) -> np.ndarray:
+    """The 1-D symbol of d/dy^order over eta."""
     if order < 0:
         raise DomainError("no inverse y-derivative convention")
     sym = (1j * grid.eta) ** order
     if order % 2:
         sym[grid.ny // 2] = 0.0
-    return Multiplier(np.broadcast_to(sym[None, :], grid.shape), f"dy^{order}")
+    return sym
+
+
+def multiplier_dx(grid: Grid2D, order: int = 1) -> Multiplier:
+    """Symbol of d/dx^order; negative orders give the inverse derivative."""
+    return Multiplier(np.broadcast_to(dx_symbol(grid, order)[:, None], grid.shape), f"dx^{order}")
+
+
+def multiplier_dy(grid: Grid2D, order: int = 1) -> Multiplier:
+    return Multiplier(np.broadcast_to(dy_symbol(grid, order)[None, :], grid.shape), f"dy^{order}")
 
 
 def multiplier_omega(grid: Grid2D) -> Multiplier:
@@ -326,7 +383,7 @@ def multiplier_omega(grid: Grid2D) -> Multiplier:
 def l2_norm(f) -> float:
     """Discrete L^2 norm of a Real/ComplexField."""
     g = f.grid
-    return float(np.sqrt(g.hx * g.hy * np.sum(np.abs(f.samples) ** 2)))
+    return float(np.sqrt(g.hx * g.hy * np.vdot(f.samples, f.samples).real))
 
 
 def spectral_l2_norm(F: SpectralField) -> float:

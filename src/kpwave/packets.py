@@ -12,10 +12,9 @@ from scipy.interpolate import RectBivariateSpline
 
 from .errors import DomainError, GridMismatchError, InvalidInputError
 from .geometry import RayVelocity, phase_phi, phase_phi_grid
-from .grids import (ComplexField, Grid2D, RealField, SpectralField, forward_transform,
-                    inverse_transform_complex, multiplier_dx, sup_norm)
+from .grids import ComplexField, Grid2D, RealField, full_lattice, samples_of, spectrum, sup_norm
 from .bumps import bump_d1, bump_d2, bump_normalized
-from .vfields import _Spectrum, _symbol, z_coordinate
+from .vfields import _central_half_box, _Spectrum, _symbol, z_coordinate
 
 SQRT3 = math.sqrt(3.0)
 
@@ -62,8 +61,7 @@ def _packet_coords(p: PacketParams, grid: Grid2D) -> tuple[np.ndarray, np.ndarra
 
 
 def _check_support(grid: Grid2D, chi: np.ndarray) -> None:
-    outside = (np.abs(grid.XC) > grid.Lx / 4) | (np.abs(grid.YC) > grid.Ly / 4)
-    if np.any(chi[outside] != 0):
+    if np.count_nonzero(chi) != np.count_nonzero(chi[_central_half_box(grid)]):
         raise DomainError("packet support leaves the central half-box")
 
 
@@ -76,27 +74,28 @@ def packet_leading(p: PacketParams, grid: Grid2D) -> ComplexField:
 
 
 def _packet_coeffs(p: PacketParams, grid: Grid2D) -> np.ndarray:
-    """The packet's coefficients: dx acts on one transform of chi e^{i phi}."""
-    lead = forward_transform(packet_leading(p, grid)).coeffs
-    return (-1j * SQRT3 * p.vel.v**-0.5) * multiplier_dx(grid).values * lead
+    """The packet's raw coefficients: dx acts on one transform of chi e^{i phi}."""
+    lead = spectrum(packet_leading(p, grid).samples)
+    return (-1j * SQRT3 * p.vel.v**-0.5) * _symbol(grid, 1) * lead
 
 
 def build_packet(p: PacketParams, grid: Grid2D) -> ComplexField:
     """Assemble the packet -i sqrt(3) v^{-1/2} dx(chi e^{i phi}); the x
     derivative acts spectrally on the assembled product."""
-    return inverse_transform_complex(SpectralField(grid, _packet_coeffs(p, grid), p.t))
+    return ComplexField(grid, samples_of(_packet_coeffs(p, grid), grid.shape), p.t)
 
 
 def _pairing(ux: _Spectrum, psi_coeffs: np.ndarray) -> complex:
-    """The integral of u_x conj(psi), by Parseval."""
-    return complex(ux.grid.Lx * ux.grid.Ly * np.vdot(psi_coeffs, ux.coeffs))
+    """The integral of u_x conj(psi), by Parseval on the full lattice."""
+    g = ux.grid
+    return complex(g.Lx * g.Ly * np.vdot(psi_coeffs, full_lattice(ux.coeffs, g.ny)))
 
 
 def gamma(u: RealField, p: PacketParams, psi: ComplexField | None = None) -> complex:
     """The packet pairing integral of u_x against the conjugate packet."""
     if psi is not None and psi.grid != u.grid:
         raise GridMismatchError("field and packet live on different grids")
-    psi_coeffs = _packet_coeffs(p, u.grid) if psi is None else forward_transform(psi).coeffs
+    psi_coeffs = _packet_coeffs(p, u.grid) if psi is None else spectrum(psi.samples)
     return _pairing(_Spectrum.of(u).d(1), psi_coeffs)
 
 
@@ -144,7 +143,7 @@ def packet_residual(p: PacketParams, grid: Grid2D,
     c_m, c, c_p = (_packet_coeffs(PacketParams(p.vel, s, p.chi_profile), grid)
                    for s in (t - dt_step, t, t + dt_step))
     flow = (c_p - c_m) / (2 * dt_step) + (_symbol(grid, 3) - _symbol(grid, -1, 2)) * c
-    full = inverse_transform_complex(SpectralField(grid, flow, t))
+    full = ComplexField(grid, samples_of(flow, grid.shape), t)
     leading = _leading_bracket(p, grid)
     rem = ComplexField(grid, full.samples - leading.samples, t)
     return PacketResidual(

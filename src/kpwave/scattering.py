@@ -9,18 +9,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .evolution import Trajectory, linear_propagate
+from .evolution import Trajectory, _linear_flow
 from .decompose import _plus_coeffs
 from .grids import (
     ComplexField,
     RealField,
-    SpectralField,
-    forward_transform,
-    inverse_transform,
-    inverse_transform_complex,
+    is_projected,
     l2_norm,
-    multiplier_dx,
-    spectral_l2_norm,
+    samples_of,
+    spectrum,
 )
 from .vfields import _Spectrum, _symbol
 
@@ -67,32 +64,32 @@ class ScatterReport:
             raise InvalidInputError("report entries must be finite and nonnegative")
 
 
-def _band(F: SpectralField, bp: BandProjection) -> SpectralField:
-    """The coefficients of a projected field F kept by the band."""
-    if not F.is_projected:
+def _band(coeffs: np.ndarray, grid, bp: BandProjection) -> np.ndarray:
+    """The raw coefficients of a projected field kept by the band."""
+    if not is_projected(coeffs):
         raise InvalidInputError("field must be zero-x-mode projected")
-    g = F.grid
-    abs_xi = np.abs(g.xi)
+    abs_xi = np.abs(grid.xi)
     in_band = (abs_xi >= bp.lower) & (abs_xi <= bp.upper)
     in_band[0] = False
     if not np.any(in_band):
         raise DomainError(
             f"band [{bp.lower:.3g}, {bp.upper:.3g}] contains no grid x-frequencies")
-    return SpectralField(g, np.where(in_band[:, None], F.coeffs, 0.0), F.time_tag)
+    return np.where(in_band[:, None], coeffs, 0.0)
 
 
 def band_project(u: RealField, bp: BandProjection) -> tuple[RealField, ComplexField]:
     """Sharp band-pass of x-frequencies |xi| in [lower, upper]; returns the
     real band field and its positive-frequency half."""
-    W = _band(forward_transform(u), bp)
-    w_plus = inverse_transform_complex(SpectralField(u.grid, _plus_coeffs(W), u.time_tag))
-    return inverse_transform(W), w_plus
+    g = u.grid
+    W = _band(spectrum(u.samples), g, bp)
+    w_plus = ComplexField(g, samples_of(_plus_coeffs(W, g), g.shape), u.time_tag)
+    return RealField(g, samples_of(W, g.shape), u.time_tag), w_plus
 
 
-def _min_positive_content(F: SpectralField) -> float:
-    """Smallest |xi| carrying non-negligible coefficient mass."""
-    g = F.grid
-    amp = np.abs(F.coeffs).max(axis=1)
+def _min_positive_content(coeffs: np.ndarray, grid) -> float:
+    """Smallest |xi| carrying non-negligible coefficient mass, from a real
+    field's half spectrum (rows xi and -xi hold the full lattice's)."""
+    amp = np.abs(coeffs).max(axis=1)
     scale = amp.max()
     if scale == 0:
         return np.inf
@@ -100,22 +97,22 @@ def _min_positive_content(F: SpectralField) -> float:
     live[0] = False
     if not np.any(live):
         return np.inf
-    return float(np.abs(g.xi[live]).min())
+    return float(np.abs(grid.xi[live]).min())
 
 
 def _umod(w_plus: _Spectrum, lower: float) -> tuple[np.ndarray, np.ndarray]:
     """Re(w+ w+_x) and the coefficients of the correction (8/3) dx^{-3} of
     it; a product with content below 2 * lower is rejected."""
     g = w_plus.grid
-    q = RealField(g, (w_plus.samples * w_plus.d(1).samples).real, w_plus.time_tag)
-    Fq = forward_transform(q)
-    if np.abs(Fq.coeffs).max() > 0:
-        low_content = _min_positive_content(Fq)
+    q = (w_plus.samples * w_plus.d(1).samples).real
+    Fq = spectrum(q)
+    if np.abs(Fq).max() > 0:
+        low_content = _min_positive_content(Fq, g)
         if low_content < 2 * lower * (1 - 1e-9):
             raise InvalidInputError(
                 f"quadratic product has content at |xi|={low_content:.3g} "
                 f"below 2*lower={2*lower:.3g}")
-    return q.samples, (8.0 / 3.0) * multiplier_dx(g, -3).values * Fq.coeffs
+    return q, (8.0 / 3.0) * _symbol(g, -3) * Fq
 
 
 def compute_umod(w_plus: ComplexField, lower: float) -> RealField:
@@ -126,8 +123,9 @@ def compute_umod(w_plus: ComplexField, lower: float) -> RealField:
     product lives at x-frequencies >= 2 * lower; input whose product has
     content below that is rejected.
     """
+    g = w_plus.grid
     _, coeffs = _umod(_Spectrum.of(w_plus), lower)
-    return inverse_transform(SpectralField(w_plus.grid, coeffs, w_plus.time_tag))
+    return RealField(g, samples_of(coeffs, g.shape), w_plus.time_tag)
 
 
 def scattering_residuals(traj: Trajectory, t: float,
@@ -147,25 +145,24 @@ def scattering_residuals(traj: Trajectory, t: float,
         raise InvalidInputError("need snapshots bracketing t on both sides")
     u = traj.snapshots[idx]
     g = u.grid
-    spectra = {j: forward_transform(traj.snapshots[j]) for j in (idx - 1, idx, idx + 1)}
+    spectra = {j: _Spectrum.of(traj.snapshots[j]) for j in (idx - 1, idx, idx + 1)}
 
     def umod_at(j: int, tj: float) -> tuple[np.ndarray, np.ndarray]:
         bp = BandProjection(tj, alpha)
-        return _umod(_Spectrum(g, _plus_coeffs(_band(spectra[j], bp)), False, tj), bp.lower)
+        plus = _plus_coeffs(_band(spectra[j].coeffs, g, bp), g)
+        return _umod(_Spectrum(g, plus, tj), bp.lower)
 
     q_half, umod = umod_at(idx, t)
-    ux = _Spectrum(g, spectra[idx].coeffs, True, t, u.samples).d(1).samples
-    helper = l2_norm(RealField(g, u.samples * ux - 2 * q_half, t))
+    helper = l2_norm(RealField(g, u.samples * spectra[idx].d(1).samples - 2 * q_half, t))
     um_prev, um_next = (umod_at(j, times[j])[1] for j in (idx - 1, idx + 1))
     # d_t u_mod + (dx^3 - dx^{-1} dy^2) u_mod, on the coefficients
     flow = ((um_next - um_prev) / (times[idx + 1] - times[idx - 1])
-            + (_symbol(g, 3) - _symbol(g, -1, 2)) * umod)
-    modscat = l2_norm(RealField(g, 2 * q_half - _Spectrum(g, flow, True, t).samples, t))
-    b_prev, b_here = (linear_propagate(spectra[j], -times[j]) for j in (idx - 1, idx))
-    drift = spectral_l2_norm(SpectralField(g, b_here.coeffs - b_prev.coeffs, 0.0))
-    return ScatterReport(t=t, umod_l2=spectral_l2_norm(SpectralField(g, umod, t)),
+            + (_symbol(g, 3) - _symbol(g, -1, 2, umod.shape[1])) * umod)
+    modscat = l2_norm(RealField(g, 2 * q_half - samples_of(flow, g.shape), t))
+    b_prev, b_here = (_linear_flow(spectra[j].coeffs, g, -times[j]) for j in (idx - 1, idx))
+    return ScatterReport(t=t, umod_l2=_Spectrum(g, umod, t).l2(),
                          scat_helper_residual=helper, modscat_residual=modscat,
-                         back_propagated_data_drift=drift)
+                         back_propagated_data_drift=_Spectrum(g, b_here - b_prev, 0.0).l2())
 
 
 def extract_scatter_data(traj: Trajectory, min_fraction: float = 0.25
@@ -177,11 +174,10 @@ def extract_scatter_data(traj: Trajectory, min_fraction: float = 0.25
     late = [s for s in traj.snapshots if s.time_tag >= times[-1] * min_fraction]
     if len(late) < 2:
         raise InvalidInputError("too few late snapshots for a drift series")
-    backs = [linear_propagate(forward_transform(s), -s.time_tag) for s in late]
-    drift_series = []
-    for i in range(1, len(backs)):
-        a, b = backs[i - 1], backs[i]
-        d = spectral_l2_norm(SpectralField(a.grid, b.coeffs - a.coeffs, 0.0))
-        drift_series.append((float(late[i].time_tag), d))
-    u0 = inverse_transform(backs[-1])
-    return u0, drift_series
+    g, spectra = late[0].grid, [spectrum(s.samples) for s in late]
+    if not all(is_projected(c) for c in spectra):
+        raise InvalidInputError("field must be zero-x-mode projected")
+    backs = [_linear_flow(c, g, -s.time_tag) for c, s in zip(spectra, late)]
+    drift_series = [(float(s.time_tag), _Spectrum(g, b - a, 0.0).l2())
+                    for s, a, b in zip(late[1:], backs, backs[1:])]
+    return RealField(g, samples_of(backs[-1], g.shape), 0.0), drift_series

@@ -232,6 +232,17 @@ class TestLinearized:
         with pytest.raises(DomainError):
             step_linearized(random_spectral(grid, rng), bg, 2.0)
 
+    def test_background_gap_rejected_before_the_first_step(self, grid, rng, monkeypatch):
+        zero = RealField(grid, np.zeros(grid.shape), 0.0)
+        bg = Trajectory([zero, RealField(grid, np.zeros(grid.shape), 0.5)])
+        calls = []
+        samples_at = BackgroundInterpolator.samples_at
+        monkeypatch.setattr(BackgroundInterpolator, "samples_at",
+                            lambda self, t: calls.append(t) or samples_at(self, t))
+        with pytest.raises(DomainError, match="does not cover"):
+            evolve_linearized(random_field(grid, rng), bg, SolverConfig(dt=0.1, t0=0.0, t_end=1.0))
+        assert calls == []
+
 
 def _reference_ifrk4(u0, dt, nsteps, background=None):
     """`nsteps` full-spectrum IFRK4 steps from the samples u0 (x-mean

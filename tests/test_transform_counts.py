@@ -1,14 +1,15 @@
 """How many FFTs each diagnostic entry point takes: one spectrum per input
 field, and derivatives as symbol products with one inverse each.  And how
-many the stepper takes: half-spectrum transforms only."""
+many the stepper, the exact linear jump and ingestion take: half-spectrum
+transforms only."""
 
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from kpwave import evolution, grids
 from kpwave.decompose import pointwise_profile
 from kpwave.evolution import SolverConfig, evolve
 from kpwave.grids import Grid2D, RealField, project_field
@@ -22,7 +23,7 @@ FFT_FUNCS = ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irff
 
 
 class _CountingFFT:
-    """Stands in for `scipy.fft` inside kpwave.grids and kpwave.evolution
+    """Stands in for `scipy.fft` inside every kpwave module that calls it
     and counts transforms, in total and by name."""
 
     def __init__(self):
@@ -44,8 +45,9 @@ class _CountingFFT:
 @pytest.fixture
 def fft_count(monkeypatch):
     counter = _CountingFFT()
-    monkeypatch.setattr(grids, "sfft", counter)
-    monkeypatch.setattr(evolution, "sfft", counter)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kpwave") and getattr(module, "sfft", None) is scipy.fft:
+            monkeypatch.setattr(module, "sfft", counter)
     return counter
 
 
@@ -63,8 +65,10 @@ def test_x_norm(fft_count):
     g = Grid2D(64, 32, 40.0, 20.0, 0.0, 0.0)
     u = pulse(g, 0.1, 3.0, 3.0)
     fft_count.calls = 0
+    fft_count.names.clear()
     x_norm(u, 2.0)
     assert fft_count.calls <= 7  # a chain of `derivative` calls took 18
+    assert set(fft_count.names) <= {"rfft2", "irfft2"}  # a real field's half spectrum
 
 
 def test_pointwise_profile(fft_count):
@@ -104,3 +108,18 @@ def test_nonlinear_evolve(fft_count):
     evolve(u0, SolverConfig(dt=0.1, t0=0.0, t_end=1.0), snapshot_times=times)
     assert fft_count.names == Counter(rfft2=1 + 4 * nsteps,
                                       irfft2=4 * nsteps + len(times))
+
+
+def test_linear_evolve(fft_count):
+    # the exact linear jump: one rfft2 in, one irfft2 per snapshot
+    g = Grid2D(64, 32, 20.0, 10.0, 0.3, 0.0)
+    u0 = RealField(g, np.random.default_rng(3).standard_normal(g.shape), 0.0)
+    times = [0.0, 0.5, 1.0, 2.5]
+    linear_run(g, u0, times)
+    assert fft_count.names == Counter(rfft2=1, irfft2=len(times))
+
+
+def test_project_field(fft_count):
+    g = Grid2D(64, 32, 20.0, 10.0, 0.3, 0.0)
+    project_field(RealField(g, np.random.default_rng(4).standard_normal(g.shape), 0.0))
+    assert fft_count.names == Counter(rfft2=1, irfft2=1)
