@@ -99,11 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("evolve", help="run the configured experiment"
                    ).set_defaults(func=_cmd_evolve)
-    for kind, blurb in (("norms", "solution-space norm time series"),
-                        ("decompose", "frequency/space decomposition profile"),
-                        ("gamma", "packet pairing sweep"),
-                        ("scatter", "band correction residuals")):
-        sub.add_parser(kind, help=blurb).set_defaults(func=_make_diag_cmd(kind))
+    for kind in DiagnosticSpec.KINDS:
+        sub.add_parser(kind, help=f"run the experiment with only its {kind} diagnostic"
+                       ).set_defaults(func=_make_diag_cmd(kind))
 
     rp = sub.add_parser("resonances", help="solve a three-wave resonance")
     rp.add_argument("--xi1", type=float, default=1.0)

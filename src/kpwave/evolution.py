@@ -6,14 +6,14 @@ and the linear part of every step is exact.
 The nonlinear, linearized and exact linear flows act on the rfft2 half
 spectrum of the samples (`grids.spectrum`, without the physical phase); the
 phase and the full lattice appear only where a public `SpectralField` enters
-or leaves.
+or leaves.  Each stepping run builds its own `_Workspace`, and nothing of it
+outlives the run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from .grids import (
     SpectralField,
     forward_transform,
     from_spectral,
-    half_l2_squared as _l2_squared,
+    half_l2_squared,
     ingest,
     inverse_transform,
     is_projected,
@@ -157,46 +157,46 @@ def _schedule(cfg: SolverConfig, snapshot_times, linear: bool = False):
 
 
 class _Workspace:
-    """Stepping data of one grid on the rfft2 half spectrum (the first
-    ny//2 + 1 columns): omega, the folded -i*xi*mask/(nx*ny) multiplier and
-    the exponentials of the last dt used.  The state is `grids.ingest`'s
+    """The stepping data of one run with step dt, on the rfft2 half spectrum
+    (the first ny//2 + 1 columns): the folded -i*xi*mask/(nx*ny) flux
+    multiplier and exp(i*omega*dt/2), exp(i*omega*dt), computed once.  For a
+    linearized run it also holds the background interpolator and the
+    samples at the previous step's t + dt.  The state is `grids.ingest`'s
     raw half spectrum, which `grids.to_spectral`/`from_spectral` convert."""
 
-    ingest = staticmethod(ingest)
-
-    def __init__(self, grid: Grid2D, dealias: bool):
-        h = grid.ny // 2 + 1
-        self.grid = grid
-        self.omega = omega_values(grid)[:, :h]
-        mask = grid.dealias_mask[:, :h] if dealias else 1.0
-        self.neg_dx = multiplier_dx(grid).values[:, :h] * mask / -(grid.nx * grid.ny)
-        self._exp = (None, None, None)
-
-    def exponentials(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """exp(i*omega*dt/2) and exp(i*omega*dt)."""
-        if self._exp[0] != dt:
-            e1 = np.exp(1j * self.omega * (dt / 2))
-            self._exp = (dt, e1, e1 * e1)
-        return self._exp[1:]
+    def __init__(self, grid: Grid2D, dealias: bool, dt: float,
+                 background: "BackgroundInterpolator | None" = None):
+        self.grid, self.dt, self.background = grid, dt, background
+        self.flux = _flux(grid, dealias)
+        self.e1 = np.exp(1j * omega_values(grid)[:, :grid.ny // 2 + 1] * (dt / 2))
+        self.e2 = self.e1 * self.e1
+        self._end = (math.nan, None)  # the previous step's t + dt and the background there
 
     def real_field(self, coeffs: np.ndarray, t: float) -> RealField:
         return RealField(self.grid, samples_of(coeffs, self.grid.shape), t)
 
-    def flux(self, coeffs: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-        """-d/dx(w^2/2) of the field w with this state, or -d/dx(u*w) for
-        background samples u (the linearized term)."""
-        w = samples_of(coeffs, self.grid.shape)
-        w = 0.5 * w * w if u is None else u * w
-        return self.neg_dx * sfft.rfft2(w)
+    def _background_stages(self, t: float) -> tuple:
+        """The background at t, t + dt/2 and t + dt.  The previous step's
+        t + dt is this t (to roundoff) and is not evaluated again."""
+        bg, dt = self.background, self.dt
+        t_end, end = self._end
+        start = end if math.isclose(t_end, t, rel_tol=1e-14, abs_tol=1e-14) else bg.samples_at(t)
+        mid, self._end = bg.samples_at(t + dt / 2), (t + dt, bg.samples_at(t + dt))
+        return start, mid, self._end[1]
 
-    def ifrk4_step(self, coeffs: np.ndarray, dt: float, nl) -> np.ndarray:
-        """One integrating-factor RK4 step of dc/dt = i*omega*c + nl(c, s),
-        s being the time since the start of the step."""
-        e1, e2 = self.exponentials(dt)
-        n1 = nl(coeffs, 0.0)
-        n2 = nl(e1 * (coeffs + (dt / 2) * n1), dt / 2)
-        n3 = nl(e1 * coeffs + (dt / 2) * n2, dt / 2)
-        n4 = nl(e2 * coeffs + dt * e1 * n3, dt)
+    def advance(self, coeffs: np.ndarray, t: float) -> np.ndarray:
+        """One integrating-factor RK4 step from t of dc/dt = i*omega*c + N,
+        N being -d/dx(w^2/2) of the field w, or -d/dx(u*w) along the
+        background u in a linearized run."""
+        dt, e1, e2 = self.dt, self.e1, self.e2
+        u0, u_mid, u1 = (None,) * 3 if self.background is None else self._background_stages(t)
+
+        def nl(c, u):
+            return self.flux(samples_of(c, self.grid.shape), u)
+        n1 = nl(coeffs, u0)
+        n2 = nl(e1 * (coeffs + (dt / 2) * n1), u_mid)
+        n3 = nl(e1 * coeffs + (dt / 2) * n2, u_mid)
+        n4 = nl(e2 * coeffs + dt * e1 * n3, u1)
         # e2*c + dt/6*(e2*n1 + 2*e1*(n2 + n3) + n4) in place: less peak memory
         n2 += n3
         np.multiply(2 * e1, n2, out=n2)
@@ -206,26 +206,14 @@ class _Workspace:
         return np.add(e2 * coeffs, n2, out=n2)
 
 
-_WORKSPACES = weakref.WeakValueDictionary()
-
-
-def _workspace(grid: Grid2D, dealias: bool) -> _Workspace:
-    """The shared workspace of (grid, dealias); it lives while a run holds it."""
-    ws = _WORKSPACES.get((grid, dealias)) or _Workspace(grid, dealias)
-    _WORKSPACES[grid, dealias] = ws
-    return ws
-
-
-def _nonlinear_flow(ws: _Workspace, dt: float):  # advance(coeffs, t) of the full equation
-    return lambda c, t: ws.ifrk4_step(c, dt, lambda c, s: ws.flux(c))
-
-
-def _linearized_flow(ws: _Workspace, bg: "BackgroundInterpolator", dt: float):
-    """advance(coeffs, t) of the flow linearized around the background."""
-    def advance(coeffs, t):
-        stages = bg.stage_samples(t, dt)
-        return ws.ifrk4_step(coeffs, dt, lambda c, s: ws.flux(c, stages[s]))
-    return advance
+def _flux(grid: Grid2D, dealias: bool):
+    """flux(w, u=None): -d/dx(w^2/2) of the samples w, or -d/dx(u*w) for
+    background samples u (the linearized term), as a raw half spectrum; the
+    folded -i*xi*mask/(nx*ny) multiplier is 2/3-rule masked when dealiasing."""
+    h = grid.ny // 2 + 1
+    mask = grid.dealias_mask[:, :h] if dealias else 1.0
+    neg_dx = multiplier_dx(grid).values[:, :h] * mask / -(grid.nx * grid.ny)
+    return lambda w, u=None: neg_dx * sfft.rfft2(0.5 * w * w if u is None else u * w)
 
 
 def _march(coeffs: np.ndarray, t0: float, dt: float, nsteps: int, snap_steps,
@@ -235,14 +223,14 @@ def _march(coeffs: np.ndarray, t0: float, dt: float, nsteps: int, snap_steps,
     in `snap_steps`.  The blow-up guard compares each step's L^2 norm with
     the previous one."""
     wanted, out = set(snap_steps), []
-    norm = _l2_squared(coeffs)
+    norm = half_l2_squared(coeffs)
     for i in range(nsteps + 1):
         if i in wanted:
             out.append(record(coeffs, t0 + i * dt))
         if i == nsteps:
             return out
         new = advance(coeffs, t0 + i * dt)
-        new_norm = _l2_squared(new)
+        new_norm = half_l2_squared(new)
         if not new_norm <= BLOWUP_FACTOR**2 * max(norm, 1e-300):
             raise StepFailureError(
                 f"blow-up at step {i + 1} (t={t0 + (i + 1) * dt:.6g}): the L^2 norm "
@@ -252,11 +240,10 @@ def _march(coeffs: np.ndarray, t0: float, dt: float, nsteps: int, snap_steps,
 
 def nonlinear_term(u: RealField, dealias: bool = True) -> RealField:
     """-d/dx(u^2/2) with 2/3-rule dealiasing; exact zero x-mean output."""
-    coeffs = spectrum(u.samples)
-    if not is_projected(coeffs):
+    if not is_projected(spectrum(u.samples)):
         raise InvalidInputError("field must be zero-x-mode projected")
-    ws = _workspace(u.grid, dealias)
-    return ws.real_field(ws.flux(coeffs), u.time_tag)
+    g = u.grid
+    return RealField(g, samples_of(_flux(g, dealias)(u.samples), g.shape), u.time_tag)
 
 
 def step_nonlinear(F: SpectralField, dt: float, dealias: bool = True) -> SpectralField:
@@ -265,9 +252,8 @@ def step_nonlinear(F: SpectralField, dt: float, dealias: bool = True) -> Spectra
         raise InvalidInputError("field must be zero-x-mode projected")
     if not dt > 0:
         raise InvalidInputError("dt must be positive")
-    ws = _workspace(F.grid, dealias)
-    return _march(from_spectral(F), F.time_tag, dt, 1, [1],
-                  _nonlinear_flow(ws, dt), lambda c, t: to_spectral(c, F.grid, t))[0]
+    return _march(from_spectral(F), F.time_tag, dt, 1, [1], _Workspace(F.grid, dealias, dt).advance,
+                  lambda c, t: to_spectral(c, F.grid, t))[0]
 
 
 class BackgroundInterpolator:
@@ -282,7 +268,6 @@ class BackgroundInterpolator:
         self.snaps = traj.snapshots
         if len(self.snaps) < 2:
             raise InvalidInputError("background needs at least 2 snapshots")
-        self._last = (math.nan, None)  # the last step's t + dt and the samples there
 
     def covers(self, t0: float, t1: float, tol: float = 1e-9) -> bool:
         return self.times[0] - tol <= t0 and t1 <= self.times[-1] + tol
@@ -303,27 +288,17 @@ class BackgroundInterpolator:
             out += lj * self.snaps[j].samples
         return out
 
-    def stage_samples(self, t: float, dt: float) -> dict:
-        """Samples at t + s for the IFRK4 stage offsets s = 0, dt/2, dt.  The
-        last step's t + dt is this t (to roundoff) and is not evaluated again."""
-        t_last, last = self._last
-        start = last if math.isclose(t_last, t, rel_tol=1e-14, abs_tol=1e-14) else self.samples_at(t)
-        mid, self._last = self.samples_at(t + dt / 2), (t + dt, self.samples_at(t + dt))
-        return {0.0: start, dt / 2: mid, dt: self._last[1]}
 
-
-def step_linearized(w: SpectralField, background: Trajectory | BackgroundInterpolator,
-                    dt: float, dealias: bool = True) -> SpectralField:
+def step_linearized(w: SpectralField, background: Trajectory, dt: float,
+                    dealias: bool = True) -> SpectralField:
     """One IFRK4 step of the flow linearized around a background solution."""
     if not w.is_projected:
         raise InvalidInputError("field must be zero-x-mode projected")
-    bg = background if isinstance(background, BackgroundInterpolator) \
-        else BackgroundInterpolator(background)
-    t = w.time_tag
+    bg, t = BackgroundInterpolator(background), w.time_tag
     if not bg.covers(min(t, t + dt), max(t, t + dt)):
         raise DomainError("background trajectory does not cover the step")
-    ws = _workspace(w.grid, dealias)
-    return to_spectral(_linearized_flow(ws, bg, dt)(from_spectral(w), t), w.grid, t + dt)
+    ws = _Workspace(w.grid, dealias, dt, bg)
+    return to_spectral(ws.advance(from_spectral(w), t), w.grid, t + dt)
 
 
 def evolve(u0: RealField, cfg: SolverConfig,
@@ -345,10 +320,9 @@ def evolve(u0: RealField, cfg: SolverConfig,
         snaps = [RealField(g, samples_of(_linear_flow(coeffs, g, t - cfg.t0), g.shape), t)
                  for t in schedule]
         return Trajectory(snaps, cfg, {"mode": "linear"})
-    ws = _workspace(g, cfg.dealias)
+    ws = _Workspace(g, cfg.dealias, cfg.dt)
     return Trajectory(_march(ingest(u0.samples), cfg.t0, cfg.dt, *schedule,
-                             _nonlinear_flow(ws, cfg.dt), ws.real_field), cfg,
-                      {"mode": "nonlinear"})
+                             ws.advance, ws.real_field), cfg, {"mode": "nonlinear"})
 
 
 def evolve_linearized(w0: RealField, background: Trajectory, cfg: SolverConfig,
@@ -359,10 +333,9 @@ def evolve_linearized(w0: RealField, background: Trajectory, cfg: SolverConfig,
     bg = BackgroundInterpolator(background)
     if not bg.covers(cfg.t0, cfg.t_end):
         raise DomainError("background trajectory does not cover [t0, t_end]")
-    ws = _workspace(w0.grid, cfg.dealias)
+    ws = _Workspace(w0.grid, cfg.dealias, cfg.dt, bg)
     return Trajectory(_march(ingest(w0.samples), cfg.t0, cfg.dt, *schedule,
-                             _linearized_flow(ws, bg, cfg.dt), ws.real_field),
-                      cfg, {"mode": "linearized"})
+                             ws.advance, ws.real_field), cfg, {"mode": "linearized"})
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ HERMITIAN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Periodic computational box with nx*ny modes, centered at (x0, y0)."""
+    """Periodic computational box with nx*ny modes, centered at (x0, y0).
+    Its (nx, ny) lattices are read-only broadcast views of its 1-D axes."""
 
     nx: int
     ny: int
@@ -94,30 +95,30 @@ class Grid2D:
     def eta(self) -> np.ndarray:
         return 2 * np.pi * sfft.fftfreq(self.ny, d=self.hy)
 
-    @cached_property
+    @property
     def XI(self) -> np.ndarray:
-        return self.xi[:, None] * np.ones((1, self.ny))
+        return np.broadcast_to(self.xi[:, None], self.shape)
 
-    @cached_property
+    @property
     def ETA(self) -> np.ndarray:
-        return np.ones((self.nx, 1)) * self.eta[None, :]
+        return np.broadcast_to(self.eta[None, :], self.shape)
 
-    @cached_property
+    @property
     def XC(self) -> np.ndarray:
-        return self.xc[:, None] * np.ones((1, self.ny))
+        return np.broadcast_to(self.xc[:, None], self.shape)
 
-    @cached_property
+    @property
     def YC(self) -> np.ndarray:
-        return np.ones((self.nx, 1)) * self.yc[None, :]
+        return np.broadcast_to(self.yc[None, :], self.shape)
 
-    @cached_property
+    @property
     def XA(self) -> np.ndarray:
         """Absolute x coordinates as a mesh (box seam at x0 +- Lx/2)."""
-        return self.x[:, None] * np.ones((1, self.ny))
+        return np.broadcast_to(self.x[:, None], self.shape)
 
-    @cached_property
+    @property
     def YA(self) -> np.ndarray:
-        return np.ones((self.nx, 1)) * self.y[None, :]
+        return np.broadcast_to(self.y[None, :], self.shape)
 
     @cached_property
     def _phase(self) -> np.ndarray:

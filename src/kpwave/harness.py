@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .evolution import SolverConfig, Trajectory, evolve
+from .evolution import SolverConfig, Trajectory, _schedule, evolve
 from .geometry import RayVelocity, resonant_triad
 from .grids import (
     Grid2D,
@@ -92,11 +92,16 @@ class DiagnosticSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
-    KINDS = ("norms", "sup", "gamma", "decompose", "scatter")
+    PARAMS = {"norms": (), "sup": (), "gamma": ("rays", "t_min"),
+              "decompose": ("times", "delta", "width"), "scatter": ("times", "alpha")}
+    KINDS = tuple(PARAMS)
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ConfigError(f"diagnostics.kind: unknown kind {self.kind!r}")
+        unknown = sorted(set(self.params) - set(self.PARAMS[self.kind]))
+        if unknown:
+            raise ConfigError(f"diagnostics.{self.kind}: unknown parameter(s) {unknown}")
         if self.kind == "gamma":
             for ray in self.params.get("rays", []):
                 vel = RayVelocity(*ray)
@@ -121,18 +126,7 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "grid": asdict(self.grid),
-            "initial": asdict(self.initial),
-            "solver": asdict(self.solver),
-            "diagnostics": [asdict(ds) for ds in self.diagnostics],
-            "snapshot_times": (None if self.snapshot_times is None
-                               else list(self.snapshot_times)),
-            "seed": self.seed,
-            "linear": self.linear,
-            "save_trajectory": self.save_trajectory,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -362,17 +356,35 @@ _DIAG_RUNNERS = {
 }
 
 
+def _check_diagnostic_times(cfg: ExperimentConfig, linear: bool) -> None:
+    """Refuse, before any evolution, a `decompose` or `scatter` time that is
+    not one of the run's snapshot times, or a `scatter` time without a
+    snapshot on each side."""
+    s = cfg.solver
+    sched = _schedule(s, cfg.snapshot_times, linear)
+    snaps = np.array(sched if linear else [s.t0 + i * s.dt for i in sched[1]])
+    for ds in cfg.diagnostics:
+        for t in ds.params.get("times") or ():  # decompose and scatter take times
+            i = int(np.argmin(np.abs(snaps - t)))
+            if abs(snaps[i] - t) > 1e-9:
+                raise ConfigError(f"diagnostics.{ds.kind}.times: t={t} is not a snapshot time")
+            if ds.kind == "scatter" and not 0 < i < len(snaps) - 1:
+                raise ConfigError(
+                    f"diagnostics.scatter.times: t={t} needs a snapshot on each side")
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> Path:
     """Run the configured evolution, write the trajectory (optionally), all
     requested diagnostic CSVs, and a provenance manifest.  Deterministic
     for a fixed config and seed."""
+    linear = cfg.linear or cfg.initial.amplitude == 0
+    _check_diagnostic_times(cfg, linear)
     out = Path(out_dir if out_dir is not None else (cfg.out_dir or "run_out"))
     out.mkdir(parents=True, exist_ok=True)
     config_text = cfg.to_json()
     (out / "config.json").write_text(config_text)
 
     u0 = build_initial_data(cfg)
-    linear = cfg.linear or cfg.initial.amplitude == 0
     traj = evolve(u0, cfg.solver, snapshot_times=cfg.snapshot_times, linear=linear)
 
     for ds in cfg.diagnostics:

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import DomainError, GridMismatchError, InvalidInputError
 from .geometry import RayVelocity, phase_phi, phase_phi_grid
@@ -151,18 +150,30 @@ def packet_residual(p: PacketParams, grid: Grid2D,
         remainder_sup=sup_norm(rem), leading_sup=sup_norm(leading))
 
 
+def _point_value(S: _Spectrum, x: float, y: float) -> float:
+    """A real field's value at (x, y) from its half spectrum, in O(nx*ny):
+    Re sum c e^{i xi (x - x_0)} e^{i eta (y - y_0)} over the full lattice,
+    (x_0, y_0) being the first sample, with the Nyquist lines read as
+    cosines (the y-Nyquist column's sum over xi is real already)."""
+    g, c = S.grid, S.coeffs
+    ex = np.exp(1j * g.xi * (x - g.x[0]))
+    ey = np.exp(1j * g.eta[:c.shape[1]] * (y - g.y[0]))
+    ex[g.nx // 2] = ex[g.nx // 2].real
+    ey[1:-1] *= 2  # the interior columns stand for their mirrors too
+    return float((ex @ c @ ey).real)
+
+
 def _pair(ux: _Spectrum, p: PacketParams, gam: complex | None = None) -> tuple:
     """(gamma, reconstruction error) from the spectrum of u_x: one
-    transform for the packet, and u_x inverted once however many pair."""
+    transform for the packet, and u_x evaluated exactly at the ray point."""
     g, t = ux.grid, p.t
     x_ray, y_ray = p.vel.v1 * t, p.vel.v2 * t
     if abs(x_ray - g.x0) > g.Lx / 4 or abs(y_ray - g.y0) > g.Ly / 4:
         raise DomainError("ray point outside the trusted central half-box")
     if gam is None:
         gam = _pairing(ux, _packet_coeffs(p, g))
-    ux_ray = float(RectBivariateSpline(g.x, g.y, ux.samples, kx=3, ky=3)(x_ray, y_ray)[0, 0])
     recon = 2.0 / t * (cmath.exp(1j * phase_phi(t, x_ray, y_ray)) * gam).real
-    return gam, abs(ux_ray - recon)
+    return gam, abs(_point_value(ux, x_ray, y_ray) - recon)
 
 
 def reconstruction_error(u: RealField, p: PacketParams,
@@ -170,8 +181,9 @@ def reconstruction_error(u: RealField, p: PacketParams,
     """|u_x at the ray point - the packet reconstruction| at time t.
 
     The reconstruction is 2 t^{-1} Re(e^{i phi} gamma) at the ray point;
-    u_x is evaluated there by bicubic interpolation.  Pass the pairing
-    `gam = gamma(u, p)` when it is already known.
+    u_x is evaluated there exactly, as the trigonometric polynomial its
+    spectrum defines.  Pass the pairing `gam = gamma(u, p)` when it is
+    already known.
     """
     return _pair(_Spectrum.of(u).d(1), p, gam)[1]
 

@@ -59,6 +59,16 @@ class TestEvolve:
         assert (out_dir / "norms.csv").exists()
 
 
+    def test_sup_subcommand(self, capsys, config_path, tmp_path):
+        out_dir = tmp_path / "sup_run"
+        code, out, _ = run_cli(capsys, "--config", str(config_path),
+                               "--out", str(out_dir), "sup")
+        assert code == 0
+        assert json.loads(out)["diagnostic"] == "sup"
+        assert (out_dir / "sup.csv").exists()
+        assert not (out_dir / "norms.csv").exists()
+
+
 class TestResonances:
     def test_default_triad(self, capsys):
         code, out, _ = run_cli(capsys, "resonances")

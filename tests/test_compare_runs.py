@@ -52,5 +52,12 @@ def test_layout_differences_fail(tmp_path, rel, text):
     assert run(tmp_path, dict(BASE, **{rel: text})) == 1
 
 
+def test_every_column_over_the_tolerance_is_named(tmp_path, capsys):
+    files = dict(BASE, **{"energy/norms.csv": "t[code-units],l2,s0u\n1.0,2.1,100.0\n2.0,2.5,2e-3\n"})
+    assert run(tmp_path, files) == 1
+    out = capsys.readouterr().out
+    assert "(l2)" in out and "(s0u)" in out
+
+
 def test_missing_file_fails(tmp_path):
     assert run(tmp_path, {"energy/norms.csv": BASE["energy/norms.csv"]}) == 1

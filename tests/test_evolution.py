@@ -11,8 +11,6 @@ from kpwave.evolution import (
     BackgroundInterpolator,
     SolverConfig,
     Trajectory,
-    _l2_squared,
-    _workspace,
     apply_symmetry,
     evolve,
     evolve_linearized,
@@ -28,7 +26,9 @@ from kpwave.grids import (
     SpectralField,
     apply_multiplier,
     forward_transform,
+    half_l2_squared,
     hermitian_defect,
+    ingest,
     inverse_transform,
     l2_norm,
     multiplier_dx,
@@ -225,6 +225,15 @@ class TestLinearized:
         evolve_linearized(w0, bg, SolverConfig(dt=0.05, t0=0.0, t_end=0.5))
         assert len(calls) == 21
 
+    def test_background_samples_do_not_depend_on_earlier_calls(self):
+        g = Grid2D(64, 32, 20.0, 10.0, 0.0, 0.0)
+        bg = self._background(g, T=0.6, dt=0.05)
+        times = (0.3, 0.125, 0.3, 0.55, 0.125)
+        warm = BackgroundInterpolator(bg)
+        seen = [warm.samples_at(t) for t in times]
+        for t, got in zip(times, seen):
+            assert np.array_equal(got, BackgroundInterpolator(bg).samples_at(t))
+
     def test_background_gap_rejected(self, grid, rng):
         zero = RealField(grid, np.zeros(grid.shape), 0.0)
         zeroT = RealField(grid, np.zeros(grid.shape), 0.5)
@@ -310,9 +319,9 @@ class TestHalfSpectrum:
     @pytest.mark.parametrize("g", GRIDS)
     def test_guard_norm_is_the_full_lattice_norm(self, g):
         u = project_field(self._noise(g))
-        half = _workspace(g, True).ingest(u.samples)
+        half = ingest(u.samples)
         full = spectral_l2_norm(forward_transform(u)) ** 2 / (g.Lx * g.Ly)
-        assert abs(_l2_squared(half) - full) <= 1e-14 * full
+        assert abs(half_l2_squared(half) - full) <= 1e-14 * full
 
 
 class TestSymmetries:

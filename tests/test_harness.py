@@ -9,8 +9,10 @@ import pytest
 from kpwave.errors import ConfigError, InvalidInputError
 from kpwave.evolution import SolverConfig, evolve
 from kpwave.grids import Grid2D
+from kpwave import harness
 from kpwave.harness import (
     DecayFit,
+    _check_diagnostic_times,
     DiagnosticSpec,
     ExperimentConfig,
     InitialSpec,
@@ -107,6 +109,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DiagnosticSpec("gamma", {"rays": [(3.0, 0.0)]})
 
+    @pytest.mark.parametrize("kind, params", [
+        ("decompose", {"tims": [2.0]}), ("scatter", {"times": [2.0], "delta": 1.0}),
+        ("gamma", {"times": [2.0]}), ("norms", {"times": [2.0]}), ("sup", {"rays": []})])
+    def test_unknown_parameter(self, kind, params):
+        with pytest.raises(ConfigError, match="unknown parameter"):
+            DiagnosticSpec(kind, params)
+
     def test_malformed_json(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json("{not json")
@@ -147,6 +156,21 @@ class TestRunExperiment:
         a = run_experiment(small_config(), tmp_path / "a")
         c = run_experiment(small_config(seed=8), tmp_path / "c")
         assert (a / "norms.csv").read_bytes() != (c / "norms.csv").read_bytes()
+
+    @pytest.mark.parametrize("spec, linear", [
+        (DiagnosticSpec("decompose", {"times": [2.5]}), True),
+        (DiagnosticSpec("scatter", {"times": [2.5]}), False),
+        (DiagnosticSpec("scatter", {"times": [4.0]}), True),   # no snapshot after it
+        (DiagnosticSpec("scatter", {"times": [0.0]}), False),  # none before it
+    ])
+    def test_bad_diagnostic_times_refused_before_evolving(self, tmp_path, monkeypatch, spec, linear):
+        calls = []
+        monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(a))
+        cfg = small_config(solver=SolverConfig(dt=0.5, t0=0.0, t_end=4.0),
+                           snapshot_times=(0.0, 2.0, 4.0), diagnostics=(spec,), linear=linear)
+        with pytest.raises(ConfigError, match="times: t="):
+            run_experiment(cfg, tmp_path / "run")
+        assert calls == []
 
     def test_zero_amplitude_runs_linear(self, tmp_path):
         cfg = small_config(initial=InitialSpec(
@@ -193,6 +217,7 @@ class TestTheoremSuite:
     @pytest.mark.parametrize("scale", [1.0, 0.37, 0.1234, 0.05])
     def test_stepping_times_on_lattice(self, scale):
         for name, cfg in theorem_suite_configs(scale).items():
+            _check_diagnostic_times(cfg, cfg.linear)
             if cfg.linear:
                 continue
             s = cfg.solver

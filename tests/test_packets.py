@@ -23,6 +23,7 @@ from kpwave.harness import fit_decay
 from kpwave.packets import (
     GammaSeries,
     PacketParams,
+    _point_value,
     build_packet,
     gamma,
     gamma_dot_series,
@@ -30,7 +31,7 @@ from kpwave.packets import (
     packet_residual,
     reconstruction_error,
 )
-from kpwave.vfields import derivative, z_coordinate
+from kpwave.vfields import _Spectrum, derivative, z_coordinate
 
 VEL = RayVelocity(-3.0, 0.0)
 
@@ -246,6 +247,41 @@ class TestReconstruction:
         err = reconstruction_error(u, PacketParams(VEL, t))
         ux_ray = 2.0 / t * abs(c0)  # |u_x| envelope at the ray point
         assert err < 0.05 * ux_ray
+
+    def test_point_value_is_exact_off_the_grid(self):
+        # a band-limited real field (no Nyquist content) is its own
+        # trigonometric interpolant, so it is exact at any point
+        g = Grid2D(32, 16, 12.0, 6.0, 0.7, -0.4)
+        rng = np.random.default_rng(11)
+        modes = [(2 * np.pi * rng.integers(-15, 16) / g.Lx, 2 * np.pi * rng.integers(-7, 8) / g.Ly,
+                  rng.standard_normal(), rng.uniform(0, 2 * np.pi)) for _ in range(12)]
+
+        def f(x, y):
+            return sum(a * np.cos(k * x + l * y + ph) for k, l, a, ph in modes)
+
+        S = _Spectrum.of(RealField(g, f(g.XA, g.YA), 0.0))
+        scale = np.abs(S.samples).max()
+        for x, y in rng.uniform(-20.0, 20.0, (25, 2)):
+            assert abs(_point_value(S, x, y) - f(x, y)) <= 1e-13 * scale
+
+    def test_point_value_reads_nyquist_lines_as_cosines(self):
+        g = Grid2D(32, 16, 12.0, 6.0, 0.7, -0.4)
+
+        def f(x, y):
+            x, y = x - g.x[0], y - g.y[0]
+            return (np.cos(np.pi / g.hx * x) * np.sin(2 * np.pi * 3 / g.Ly * y + 0.3)
+                    + np.sin(2 * np.pi * 5 / g.Lx * x + 0.2) * np.cos(np.pi / g.hy * y))
+
+        S = _Spectrum.of(RealField(g, f(g.XA, g.YA), 0.0))
+        for x, y in np.random.default_rng(13).uniform(-20.0, 20.0, (25, 2)):
+            assert abs(_point_value(S, x, y) - f(x, y)) <= 1e-13
+
+    def test_point_value_at_nodes_is_the_sample(self):
+        g = Grid2D(32, 16, 12.0, 6.0, 0.7, -0.4)
+        rng = np.random.default_rng(12)
+        S = _Spectrum.of(RealField(g, rng.standard_normal(g.shape), 0.0))  # Nyquist content too
+        for j, k in zip(rng.integers(0, g.nx, 25), rng.integers(0, g.ny, 25)):
+            assert abs(_point_value(S, g.x[j], g.y[k]) - S.samples[j, k]) <= 1e-13
 
     def test_ray_point_must_be_trusted(self):
         g = Grid2D(512, 256, 256.0, 128.0, 0.0, 0.0)  # ray point at x=-120

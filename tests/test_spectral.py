@@ -42,6 +42,18 @@ class TestGrid:
         assert np.isclose(np.sort(g.xi)[-1], 2 * np.pi / 16.0 * 31)
         assert 0.0 in g.xi
 
+    def test_lattices_are_read_only_views_of_the_axes(self):
+        g = Grid2D(16, 8, 16.0, 8.0, 0.3, -0.2)
+        for name, axis, along_x in (("XI", "xi", True), ("ETA", "eta", False),
+                                    ("XC", "xc", True), ("YC", "yc", False),
+                                    ("XA", "x", True), ("YA", "y", False)):
+            lattice, a = getattr(g, name), getattr(g, axis)
+            assert lattice.shape == g.shape
+            assert np.array_equal(lattice, np.broadcast_to(a[:, None] if along_x else a, g.shape))
+            assert np.shares_memory(lattice, a), name
+            with pytest.raises(ValueError):
+                lattice[0, 0] = 1.0
+
     def test_rejects_odd_or_small_counts(self):
         with pytest.raises(InvalidInputError):
             Grid2D(63, 32, 16.0, 8.0, 0.0, 0.0)

@@ -87,7 +87,7 @@ def test_gamma_and_reconstruction_error_per_sample(fft_count, tmp_path):
     _DIAG_RUNNERS["gamma"](traj, {"rays": [(-3.0, 0.0)], "t_min": 1.0}, tmp_path)
     rows = (tmp_path / "gamma.csv").read_text().splitlines()[1:]
     assert len(rows) == 3
-    assert fft_count.calls <= 3 * len(rows)  # 6 per sample through `derivative`
+    assert fft_count.calls <= 2 * len(rows)  # 6 per sample through `derivative`
 
 
 def test_scattering_residuals(fft_count):

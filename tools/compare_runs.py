@@ -6,9 +6,10 @@ Both trees must hold the same CSV files (by relative path), each with the
 same header, the same number of rows and the same `t[code-units]` column.
 Every other column is compared by its largest absolute difference relative
 to its largest magnitude in A; cells that are not numbers (an empty
-`abs_gamma_dot`, say) must match as text.  One line is printed per file,
-naming its worst column, and the exit status is 1 when a file is missing,
-its layout differs, or a column differs by more than the tolerance.
+`abs_gamma_dot`, say) must match as text.  One line is printed for every
+column over the tolerance, or for a file within it, one line naming its
+worst column; the exit status is 1 when a file is missing, its layout
+differs, or a column differs by more than the tolerance.
 """
 
 from __future__ import annotations
@@ -51,24 +52,23 @@ def column_difference(a: list, b: list) -> float:
     return float(diff / scale) if scale > 0 else float(diff)
 
 
-def compare_file(path_a: Path, path_b: Path) -> tuple[float, str]:
-    """(worst relative column difference, a description of it)."""
+def compare_file(path_a: Path, path_b: Path) -> list[tuple[float, str]]:
+    """(relative difference, column name) for every column, or a single
+    (inf, reason) when the layouts differ."""
     head_a, rows_a = _read(path_a)
     head_b, rows_b = _read(path_b)
     if head_a != head_b:
-        return float("inf"), f"headers differ: {head_a} vs {head_b}"
+        return [(float("inf"), f"headers differ: {head_a} vs {head_b}")]
     if len(rows_a) != len(rows_b):
-        return float("inf"), f"row counts differ: {len(rows_a)} vs {len(rows_b)}"
-    worst, where = 0.0, "no rows"
+        return [(float("inf"), f"row counts differ: {len(rows_a)} vs {len(rows_b)}")]
+    out = []
     for i, name in enumerate(head_a):
         col_a = [r[i] for r in rows_a]
         col_b = [r[i] for r in rows_b]
         if name == TIME_COLUMN and col_a != col_b:
-            return float("inf"), f"{TIME_COLUMN} columns differ"
-        d = column_difference(col_a, col_b)
-        if d >= worst:
-            worst, where = d, name
-    return worst, f"worst column {where}"
+            return [(float("inf"), f"{TIME_COLUMN} columns differ")]
+        out.append((column_difference(col_a, col_b), name))
+    return out
 
 
 def main(argv=None) -> int:
@@ -86,10 +86,14 @@ def main(argv=None) -> int:
     if not files_a:
         print(f"no CSV files under {args.a}")
     for rel in sorted(files_a & files_b):
-        worst, what = compare_file(args.a / rel, args.b / rel)
-        bad = not worst <= args.tol
+        diffs = compare_file(args.a / rel, args.b / rel)
+        bad = [(d, what) for d, what in diffs if not d <= args.tol]
         ok &= not bad
-        print(f"{rel}: {worst:.3g} ({what}){'  > tol' if bad else ''}")
+        for d, what in bad:
+            print(f"{rel}: {d:.3g} ({what})  > tol")
+        if not bad:
+            worst, where = max(diffs)
+            print(f"{rel}: {worst:.3g} (worst column {where})")
     print(f"{'match' if ok else 'MISMATCH'} at tol {args.tol:g}")
     return 0 if ok else 1
 
