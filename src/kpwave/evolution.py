@@ -127,7 +127,7 @@ def linear_propagate(F: SpectralField, dt: float) -> SpectralField:
 def _linear_flow(coeffs: np.ndarray, grid: Grid2D, dt: float) -> np.ndarray:
     """The exact linear flow over dt of a projected field's coefficients, on
     the full lattice or a half spectrum."""
-    return coeffs * np.exp(1j * omega_values(grid)[:, :coeffs.shape[1]] * dt)
+    return coeffs * np.exp(1j * omega_values(grid, coeffs.shape[1]) * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +139,11 @@ def _schedule(cfg: SolverConfig, snapshot_times, linear: bool = False):
     `snapshot_stride` steps and the last, and a t_end or requested time off
     the lattice t0 + i*dt or outside [t0, t_end] is refused."""
     if linear:
-        times = {cfg.t0, cfg.t_end, *(snapshot_times or ())}
-        return sorted(t for t in times if cfg.t0 - 1e-12 <= t <= cfg.t_end + 1e-12)
+        for t in snapshot_times or ():
+            if not cfg.t0 - 1e-12 <= t <= cfg.t_end + 1e-12:
+                raise InvalidInputError(f"snapshot time t={t} is outside [t0, t_end] "
+                                        f"(t0={cfg.t0}, t_end={cfg.t_end})")
+        return sorted({cfg.t0, cfg.t_end, *(snapshot_times or ())})
 
     def step(t, what, last):
         x = (t - cfg.t0) / cfg.dt
@@ -168,7 +171,7 @@ class _Workspace:
                  background: "BackgroundInterpolator | None" = None):
         self.grid, self.dt, self.background = grid, dt, background
         self.flux = _flux(grid, dealias)
-        self.e1 = np.exp(1j * omega_values(grid)[:, :grid.ny // 2 + 1] * (dt / 2))
+        self.e1 = np.exp(1j * omega_values(grid, grid.ny // 2 + 1) * (dt / 2))
         self.e2 = self.e1 * self.e1
         self._end = (math.nan, None)  # the previous step's t + dt and the background there
 
@@ -311,7 +314,8 @@ def evolve(u0: RealField, cfg: SolverConfig,
     IFRK4 stepping takes whole steps, so t_end and each requested time must
     be on the lattice t0 + i*dt within [t0, t_end], or `InvalidInputError`
     is raised before the first step.  With `linear=True` the exact
-    propagator jumps to t0, t_end and any requested time in between.
+    propagator jumps to t0, t_end and any requested time in between; a
+    requested time outside [t0, t_end] raises `InvalidInputError`.
     """
     schedule = _schedule(cfg, snapshot_times, linear)
     g = u0.grid

@@ -331,11 +331,12 @@ def dispersion_omega(xi: float, eta: float) -> float:
     return xi**3 + eta**2 / xi
 
 
-def omega_values(grid: Grid2D) -> np.ndarray:
-    """omega on the lattice; zero on the xi = 0 line and the x-Nyquist row."""
+def omega_values(grid: Grid2D, cols: int | None = None) -> np.ndarray:
+    """omega on the first `cols` eta columns of the lattice (all by default);
+    zero on the xi = 0 line and the x-Nyquist row."""
     xi = grid.xi.copy()
     xi[0] = 1.0  # placeholder, zeroed below
-    w = (grid.xi**3)[:, None] + (grid.eta**2)[None, :] / xi[:, None]
+    w = (grid.xi**3)[:, None] + (grid.eta[:cols] ** 2)[None, :] / xi[:, None]
     w[0, :] = 0.0
     w[grid.nx // 2, :] = 0.0
     return w

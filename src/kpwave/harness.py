@@ -20,9 +20,11 @@ from .grids import (
     RealField,
     SpectralField,
     conjugate_mirror,
+    dx_symbol,
+    ingest,
     inverse_transform,
-    project_field,
     project_zero_xmodes,
+    samples_of,
     save_snapshot,
     sup_norm,
 )
@@ -175,18 +177,18 @@ def build_initial_data(cfg: ExperimentConfig) -> RealField:
     """Assemble the configured initial datum on the grid.
 
     Each pulse is amplitude * dx(exp(-(x-cx)^2/sx^2 - (y-cy)^2/sy^2)
-    * cos(xi0 (x-cx) + eta0 (y-cy))); the x-derivative acts spectrally, so
-    the x-mean vanishes exactly.
+    * cos(xi0 (x-cx) + eta0 (y-cy))), the real part of an outer product of
+    1-D complex exponentials; the x-derivative of their sum acts spectrally,
+    in one transform pair, so the x-mean vanishes exactly.
     """
     g = cfg.grid
     total = np.zeros(g.shape)
     for p in cfg.initial.pulses:
-        cx, cy = p.center
-        dx_ = g.XA - cx
-        dy_ = g.YA - cy
-        env = np.exp(-(dx_ / p.sigma[0]) ** 2 - (dy_ / p.sigma[1]) ** 2)
-        prof = p.amplitude * env * np.cos(p.carrier[0] * dx_ + p.carrier[1] * dy_)
-        total += derivative(RealField(g, prof, cfg.solver.t0), dx_order=1).samples
+        (cx, cy), (sx, sy), (kx, ky) = p.center, p.sigma, p.carrier
+        ex = p.amplitude * np.exp(-((g.x - cx) / sx) ** 2 + 1j * kx * (g.x - cx))
+        ey = np.exp(-((g.y - cy) / sy) ** 2 + 1j * ky * (g.y - cy))
+        total += (ex[:, None] * ey).real
+    total = samples_of(ingest(total) * dx_symbol(g)[:, None], g.shape)
     if cfg.initial.noise_amplitude > 0:
         rng = np.random.default_rng(cfg.seed)
         c = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
@@ -196,7 +198,7 @@ def build_initial_data(cfg: ExperimentConfig) -> RealField:
         scale = sup_norm(noise)
         if scale > 0:
             total += cfg.initial.noise_amplitude / scale * noise.samples
-    return project_field(RealField(g, total, cfg.solver.t0))
+    return RealField(g, total, cfg.solver.t0)
 
 
 # ---------------------------------------------------------------------------

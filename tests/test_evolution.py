@@ -171,6 +171,12 @@ class TestExactTimes:
         traj = evolve(u0, SolverConfig(dt=0.03, t0=0.0, t_end=1.0), [0.5], linear=True)
         assert list(traj.times) == [0.0, 0.5, 1.0]
 
+    @pytest.mark.parametrize("t", [3.0, -0.5])
+    def test_linear_jump_refuses_times_outside_the_interval(self, grid, t):
+        u0 = gaussian_field(grid, amp=0.05, sx=2.0, sy=2.0, kx=1.0)
+        with pytest.raises(InvalidInputError, match=rf"t={t}.*t0=0.0, t_end=1.0"):
+            evolve(u0, SolverConfig(dt=0.1, t0=0.0, t_end=1.0), [0.5, t], linear=True)
+
 
 class TestLinearized:
     def _background(self, g, amp=0.05, T=2.0, dt=0.005):

@@ -8,7 +8,7 @@ import pytest
 
 from kpwave.errors import ConfigError, InvalidInputError
 from kpwave.evolution import SolverConfig, evolve
-from kpwave.grids import Grid2D
+from kpwave.grids import Grid2D, RealField, is_projected, project_field, spectrum
 from kpwave import harness
 from kpwave.harness import (
     DecayFit,
@@ -26,6 +26,7 @@ from kpwave.harness import (
     sup_norm_series,
     theorem_suite_configs,
 )
+from kpwave.vfields import derivative
 
 # the norm diagnostics apply coordinate weights to noisy box-filling fields
 pytestmark = pytest.mark.filterwarnings(
@@ -135,6 +136,20 @@ class TestInitialData:
             "modulated_gaussian", (Pulse(0.10, (1.0, 0.0), (4.0, 3.0)),)))
         a, b = build_initial_data(cfg), build_initial_data(cfg2)
         assert np.abs(b.samples - 2 * a.samples).max() < 1e-14
+
+    def test_matches_the_full_lattice_construction(self):
+        pulses = (Pulse(0.05, (1.0, 0.3), (4.0, 3.0), (5.0, -2.0)),
+                  Pulse(0.02, (0.7, -0.2), (3.0, 5.0), (-10.0, 4.0)))
+        cfg = small_config(initial=InitialSpec("two_packet", pulses))
+        g = cfg.grid
+        prof = sum(p.amplitude * np.exp(-((g.XA - p.center[0]) / p.sigma[0]) ** 2
+                                        - ((g.YA - p.center[1]) / p.sigma[1]) ** 2)
+                   * np.cos(p.carrier[0] * (g.XA - p.center[0])
+                            + p.carrier[1] * (g.YA - p.center[1])) for p in pulses)
+        ref = project_field(derivative(RealField(g, prof, 0.0), dx_order=1))
+        u0 = build_initial_data(cfg)
+        assert is_projected(spectrum(u0.samples))
+        assert np.abs(u0.samples - ref.samples).max() <= 1e-14 * np.abs(ref.samples).max()
 
     def test_noise_is_seeded(self):
         a = build_initial_data(small_config())

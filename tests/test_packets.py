@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kpwave.bumps import bump_normalized, plateau_cutoff
+from kpwave.bumps import bump, bump_mass, bump_normalized, plateau_cutoff
 from kpwave.decompose import (
     dyadic_decompose,
     hyperbolic_elliptic_split,
@@ -78,6 +78,17 @@ class TestPacketParams:
         s = np.linspace(-1.0, 1.0, 200001)
         mass = np.trapezoid(bump_normalized(s), dx=s[1] - s[0])
         assert mass == pytest.approx(1.0, abs=1e-10)
+
+    def test_bump_mass_is_the_quadrature_value(self):
+        from scipy.integrate import quad
+        val, _ = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1, 1, epsabs=1e-14)
+        assert bump_mass() == val
+
+    def test_bump_mass_by_gauss_legendre(self):
+        # the integrand is C^infinity with every derivative zero at +-1, so
+        # the rule has converged to roundoff by 100 nodes
+        nodes, weights = np.polynomial.legendre.leggauss(100)
+        assert weights @ bump(nodes) == pytest.approx(bump_mass(), rel=1e-14, abs=0)
 
     def test_validity_domain(self):
         with pytest.raises(DomainError):

@@ -239,6 +239,12 @@ class TestDispersion:
         assert np.all(w[0, :] == 0)
         assert np.all(w[grid.nx // 2, :] == 0)
 
+    @pytest.mark.parametrize("grid", [c.grid for c in theorem_suite_configs().values()],
+                             ids=list(theorem_suite_configs()))
+    def test_leading_columns_are_a_slice_of_the_lattice(self, grid):
+        h = grid.ny // 2 + 1
+        assert np.array_equal(omega_values(grid, h), omega_values(grid)[:, :h])
+
 
 class TestParsevalProperty:
     def test_random_fields(self, grid, rng):
