@@ -23,6 +23,8 @@ from .grids import (
 from .bumps import plateau_cutoff, smooth_step
 from .vfields import VectorFieldId, _ly_spectrum, _Spectrum, _vector_field, _x_norm, z_coordinate
 
+BINS_PER_DECADE = 8  # logarithmic v-bins per decade in `pointwise_profile`
+
 
 @dataclass(frozen=True)
 class DyadicPiece:
@@ -213,7 +215,7 @@ def ell_x_bound(t: float, v: float) -> float:
 
 
 def pointwise_profile(u: RealField, t: float, delta: float = 1.0,
-                      width: float = 0.5, bins_per_decade: int = 8) -> PointwiseProfile:
+                      width: float = 0.5) -> PointwiseProfile:
     """Profile the decomposed field against the hyperbolic/elliptic bound
     shapes over logarithmic v-bins, and evaluate the per-scale operator
     estimates."""
@@ -252,7 +254,7 @@ def pointwise_profile(u: RealField, t: float, delta: float = 1.0,
 
     v_floor = t ** (-2.0 / 3.0) / 8
     v_cap = max(np.abs(v).max(), 2 * v_floor)
-    n_bins = int(math.ceil(math.log10(v_cap / v_floor) * bins_per_decade))
+    n_bins = int(math.ceil(math.log10(v_cap / v_floor) * BINS_PER_DECADE))
     edges = v_floor * (v_cap / v_floor) ** (np.arange(n_bins + 1) / n_bins)
 
     rows = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .grids import (
     Grid2D,
     RealField,
     SpectralField,
+    dx_symbol,
     forward_transform,
     from_spectral,
     half_l2_squared,
@@ -32,7 +33,6 @@ from .grids import (
     inverse_transform,
     is_projected,
     load_snapshot,
-    multiplier_dx,
     omega_values,
     samples_of,
     save_snapshot,
@@ -51,10 +51,12 @@ class SolverConfig:
     dt: float
     t0: float
     t_end: float
-    dealias: bool = True
     snapshot_stride: int = 1
 
     def __post_init__(self):
+        for name in ("dt", "t0", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.dt > 0:
             raise InvalidInputError("dt must be positive")
         if not self.t0 < self.t_end:
@@ -63,6 +65,15 @@ class SolverConfig:
             raise InvalidInputError("dt exceeds the time interval")
         if self.snapshot_stride < 1:
             raise InvalidInputError("snapshot_stride must be >= 1")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SolverConfig":
+        """The config that `asdict` gave `d`; a key it does not know, such as
+        one an older kpwave saved, raises `InvalidInputError` naming it."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidInputError(f"solver config: unknown key(s) {unknown}")
+        return cls(**d)
 
 
 @dataclass
@@ -110,7 +121,7 @@ class Trajectory:
         manifest = json.loads((directory / "manifest.json").read_text())
         snaps = [load_snapshot(directory / f"snap_{i:05d}")
                  for i in range(len(manifest["time_tags"]))]
-        config = SolverConfig(**manifest["config"]) if "config" in manifest else None
+        config = SolverConfig.from_dict(manifest["config"]) if "config" in manifest else None
         return cls(snaps, config, manifest.get("provenance", {}))
 
 
@@ -147,7 +158,7 @@ def _schedule(cfg: SolverConfig, snapshot_times, linear: bool = False):
 
     def step(t, what, last):
         x = (t - cfg.t0) / cfg.dt
-        if abs(x - round(x)) > LATTICE_TOL or not 0 <= round(x) <= last:
+        if not math.isfinite(x) or abs(x - round(x)) > LATTICE_TOL or not 0 <= round(x) <= last:
             raise InvalidInputError(
                 f"{what} t={t} is off the step lattice t0 + i*dt in [t0, t_end] "
                 f"(t0={cfg.t0}, dt={cfg.dt}, t_end={cfg.t_end})")
@@ -167,10 +178,10 @@ class _Workspace:
     samples at the previous step's t + dt.  The state is `grids.ingest`'s
     raw half spectrum, which `grids.to_spectral`/`from_spectral` convert."""
 
-    def __init__(self, grid: Grid2D, dealias: bool, dt: float,
+    def __init__(self, grid: Grid2D, dt: float,
                  background: "BackgroundInterpolator | None" = None):
         self.grid, self.dt, self.background = grid, dt, background
-        self.flux = _flux(grid, dealias)
+        self.flux = _flux(grid)
         self.e1 = np.exp(1j * omega_values(grid, grid.ny // 2 + 1) * (dt / 2))
         self.e2 = self.e1 * self.e1
         self._end = (math.nan, None)  # the previous step's t + dt and the background there
@@ -209,13 +220,12 @@ class _Workspace:
         return np.add(e2 * coeffs, n2, out=n2)
 
 
-def _flux(grid: Grid2D, dealias: bool):
+def _flux(grid: Grid2D):
     """flux(w, u=None): -d/dx(w^2/2) of the samples w, or -d/dx(u*w) for
     background samples u (the linearized term), as a raw half spectrum; the
-    folded -i*xi*mask/(nx*ny) multiplier is 2/3-rule masked when dealiasing."""
-    h = grid.ny // 2 + 1
-    mask = grid.dealias_mask[:, :h] if dealias else 1.0
-    neg_dx = multiplier_dx(grid).values[:, :h] * mask / -(grid.nx * grid.ny)
+    folded -i*xi*mask/(nx*ny) multiplier carries the 2/3-rule mask."""
+    mask = grid.dealias_mask[:, :grid.ny // 2 + 1]
+    neg_dx = dx_symbol(grid)[:, None] * mask / -(grid.nx * grid.ny)
     return lambda w, u=None: neg_dx * sfft.rfft2(0.5 * w * w if u is None else u * w)
 
 
@@ -241,21 +251,21 @@ def _march(coeffs: np.ndarray, t0: float, dt: float, nsteps: int, snap_steps,
         coeffs, norm = new, new_norm
 
 
-def nonlinear_term(u: RealField, dealias: bool = True) -> RealField:
-    """-d/dx(u^2/2) with 2/3-rule dealiasing; exact zero x-mean output."""
+def nonlinear_term(u: RealField) -> RealField:
+    """-d/dx(u^2/2) under the 2/3-rule mask; exact zero x-mean output."""
     if not is_projected(spectrum(u.samples)):
         raise InvalidInputError("field must be zero-x-mode projected")
     g = u.grid
-    return RealField(g, samples_of(_flux(g, dealias)(u.samples), g.shape), u.time_tag)
+    return RealField(g, samples_of(_flux(g)(u.samples), g.shape), u.time_tag)
 
 
-def step_nonlinear(F: SpectralField, dt: float, dealias: bool = True) -> SpectralField:
+def step_nonlinear(F: SpectralField, dt: float) -> SpectralField:
     """One IFRK4 step of the full equation; formal order 4."""
     if not F.is_projected:
         raise InvalidInputError("field must be zero-x-mode projected")
     if not dt > 0:
         raise InvalidInputError("dt must be positive")
-    return _march(from_spectral(F), F.time_tag, dt, 1, [1], _Workspace(F.grid, dealias, dt).advance,
+    return _march(from_spectral(F), F.time_tag, dt, 1, [1], _Workspace(F.grid, dt).advance,
                   lambda c, t: to_spectral(c, F.grid, t))[0]
 
 
@@ -272,8 +282,8 @@ class BackgroundInterpolator:
         if len(self.snaps) < 2:
             raise InvalidInputError("background needs at least 2 snapshots")
 
-    def covers(self, t0: float, t1: float, tol: float = 1e-9) -> bool:
-        return self.times[0] - tol <= t0 and t1 <= self.times[-1] + tol
+    def covers(self, t0: float, t1: float) -> bool:
+        return self.times[0] - 1e-9 <= t0 and t1 <= self.times[-1] + 1e-9
 
     def samples_at(self, t: float) -> np.ndarray:
         ts = self.times
@@ -292,16 +302,15 @@ class BackgroundInterpolator:
         return out
 
 
-def step_linearized(w: SpectralField, background: Trajectory, dt: float,
-                    dealias: bool = True) -> SpectralField:
+def step_linearized(w: SpectralField, background: Trajectory, dt: float) -> SpectralField:
     """One IFRK4 step of the flow linearized around a background solution."""
     if not w.is_projected:
         raise InvalidInputError("field must be zero-x-mode projected")
     bg, t = BackgroundInterpolator(background), w.time_tag
     if not bg.covers(min(t, t + dt), max(t, t + dt)):
         raise DomainError("background trajectory does not cover the step")
-    ws = _Workspace(w.grid, dealias, dt, bg)
-    return to_spectral(ws.advance(from_spectral(w), t), w.grid, t + dt)
+    return _march(from_spectral(w), t, dt, 1, [1], _Workspace(w.grid, dt, bg).advance,
+                  lambda c, s: to_spectral(c, w.grid, s))[0]
 
 
 def evolve(u0: RealField, cfg: SolverConfig,
@@ -324,7 +333,7 @@ def evolve(u0: RealField, cfg: SolverConfig,
         snaps = [RealField(g, samples_of(_linear_flow(coeffs, g, t - cfg.t0), g.shape), t)
                  for t in schedule]
         return Trajectory(snaps, cfg, {"mode": "linear"})
-    ws = _Workspace(g, cfg.dealias, cfg.dt)
+    ws = _Workspace(g, cfg.dt)
     return Trajectory(_march(ingest(u0.samples), cfg.t0, cfg.dt, *schedule,
                              ws.advance, ws.real_field), cfg, {"mode": "nonlinear"})
 
@@ -337,7 +346,7 @@ def evolve_linearized(w0: RealField, background: Trajectory, cfg: SolverConfig,
     bg = BackgroundInterpolator(background)
     if not bg.covers(cfg.t0, cfg.t_end):
         raise DomainError("background trajectory does not cover [t0, t_end]")
-    ws = _Workspace(w0.grid, cfg.dealias, cfg.dt, bg)
+    ws = _Workspace(w0.grid, cfg.dt, bg)
     return Trajectory(_march(ingest(w0.samples), cfg.t0, cfg.dt, *schedule,
                              ws.advance, ws.real_field), cfg, {"mode": "linearized"})
 

@@ -53,6 +53,9 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8 or self.nx % 2 or self.ny % 2:
             raise InvalidInputError("mode counts must be even and >= 8")
+        for name in ("Lx", "Ly", "x0", "y0"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.Lx > 0 and self.Ly > 0):
             raise InvalidInputError("box side lengths must be positive")
 
@@ -121,21 +124,24 @@ class Grid2D:
         return np.broadcast_to(self.y[None, :], self.shape)
 
     @cached_property
-    def _phase(self) -> np.ndarray:
-        # e^{-i(xi*x_start + eta*y_start)}: converts raw FFT output to
-        # physical plane-wave amplitudes.
+    def _phase_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        # e^{-i*xi*x_start} and e^{-i*eta*y_start}: their product converts
+        # raw FFT output to physical plane-wave amplitudes.
         px = np.exp(-1j * self.xi * self.x[0])
         py = np.exp(-1j * self.eta * self.y[0])
         for p in (px, py):
             p[len(p) // 2] = 1.0 if p[len(p) // 2].real >= 0 else -1.0
-        return px[:, None] * py[None, :]
+        return px, py
 
-    @cached_property
+    def _phase(self, cols: int | None = None) -> np.ndarray:
+        px, py = self._phase_factors  # the product on the first `cols` eta columns
+        return px[:, None] * py[None, :cols]
+
+    @property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask for quadratic products."""
-        cx = (2.0 / 3.0) * np.abs(self.xi).max()
-        cy = (2.0 / 3.0) * np.abs(self.eta).max()
-        return ((np.abs(self.XI) <= cx) & (np.abs(self.ETA) <= cy))
+        mx, my = (np.abs(k) <= (2.0 / 3.0) * np.abs(k).max() for k in (self.xi, self.eta))
+        return mx[:, None] & my[None, :]
 
 
 def _check_same_grid(a, b):
@@ -248,13 +254,14 @@ def to_spectral(coeffs: np.ndarray, grid: Grid2D, t: float) -> SpectralField:
     the full lattice (which the +-1 Nyquist phase keeps Hermitian)."""
     if coeffs.shape != grid.shape:
         coeffs = full_lattice(coeffs, grid.ny)
-    return SpectralField(grid, coeffs * grid._phase, t)
+    phase = grid._phase()  # named: numpy would reuse a temporary and swap the operands
+    return SpectralField(grid, coeffs * phase, t)
 
 
 def from_spectral(F: SpectralField) -> np.ndarray:
     """The half spectrum of a real field's `SpectralField`."""
     h = F.grid.ny // 2 + 1
-    return F.coeffs[:, :h] / F.grid._phase[:, :h]
+    return F.coeffs[:, :h] / F.grid._phase(h)
 
 
 def is_projected(coeffs: np.ndarray) -> bool:
@@ -299,7 +306,7 @@ def inverse_transform(F: SpectralField) -> RealField:
 
 def inverse_transform_complex(F: SpectralField) -> ComplexField:
     g = F.grid
-    return ComplexField(g, samples_of(F.coeffs / g._phase, g.shape), F.time_tag)
+    return ComplexField(g, samples_of(F.coeffs / g._phase(), g.shape), F.time_tag)
 
 
 def apply_multiplier(F: SpectralField, m: Multiplier) -> SpectralField:

@@ -58,6 +58,9 @@ class Pulse:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        for name in ("amplitude", "carrier", "sigma", "center"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"initial.{name}: must be finite, got {getattr(self, name)}")
         if self.amplitude < 0:
             raise ConfigError("initial.amplitude: must be >= 0")
         if not (self.sigma[0] > 0 and self.sigma[1] > 0):
@@ -144,7 +147,7 @@ class ExperimentConfig:
                 grid=Grid2D(**d["grid"]),
                 initial=InitialSpec(family=init["family"], pulses=pulses,
                                     noise_amplitude=init.get("noise_amplitude", 0.0)),
-                solver=SolverConfig(**d["solver"]),
+                solver=SolverConfig.from_dict(d["solver"]),
                 diagnostics=tuple(DiagnosticSpec(ds["kind"], ds.get("params", {}))
                                   for ds in d.get("diagnostics", [])),
                 snapshot_times=(None if d.get("snapshot_times") is None

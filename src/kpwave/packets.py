@@ -20,7 +20,7 @@ SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class PacketParams:
-    """A packet instant: ray velocity, time, and the envelope descriptor.
+    """A packet instant: ray velocity and time.
 
     The envelope is a tensor product of normalized compactly supported
     bumps, so its integral is 1 by construction.
@@ -28,7 +28,6 @@ class PacketParams:
 
     vel: RayVelocity
     t: float
-    chi_profile: str = "tensor-bump"
 
     def __post_init__(self):
         if not self.t > 0:
@@ -38,8 +37,6 @@ class PacketParams:
         if self.vel.v < self.t ** (-2.0 / 3.0):
             raise DomainError(
                 f"v={self.vel.v} below validity threshold t^(-2/3)={self.t**(-2/3):.3g}")
-        if self.chi_profile != "tensor-bump":
-            raise InvalidInputError(f"unknown envelope profile {self.chi_profile!r}")
 
     @property
     def lambda1(self) -> float:
@@ -139,7 +136,7 @@ def packet_residual(p: PacketParams, grid: Grid2D,
     if dt_step > t / 20:
         raise InvalidInputError(
             f"finite-difference step {dt_step} too large relative to t={t}")
-    c_m, c, c_p = (_packet_coeffs(PacketParams(p.vel, s, p.chi_profile), grid)
+    c_m, c, c_p = (_packet_coeffs(PacketParams(p.vel, s), grid)
                    for s in (t - dt_step, t, t + dt_step))
     flow = (c_p - c_m) / (2 * dt_step) + (_symbol(grid, 3) - _symbol(grid, -1, 2)) * c
     full = ComplexField(grid, samples_of(flow, grid.shape), t)

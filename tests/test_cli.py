@@ -49,6 +49,18 @@ class TestEvolve:
         assert (out_dir / "manifest.json").exists()
         assert (out_dir / "norms.csv").exists()
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_t_end_refused(self, capsys, config_path, tmp_path, value):
+        d = json.loads(config_path.read_text())
+        d["solver"]["t_end"] = value
+        config_path.write_text(json.dumps(d))
+        code, _, err = run_cli(capsys, "--config", str(config_path),
+                               "--out", str(tmp_path / "run"), "evolve")
+        assert code == 2
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert "t_end must be finite" in error["message"]
+
     def test_missing_config(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "--out", str(tmp_path / "x"), "evolve")
         assert code == 2

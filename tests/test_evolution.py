@@ -1,5 +1,6 @@
 """Linear propagator, IFRK4 stepping, linearized flow, and symmetries."""
 
+import json
 import math
 
 import numpy as np
@@ -171,6 +172,12 @@ class TestExactTimes:
         traj = evolve(u0, SolverConfig(dt=0.03, t0=0.0, t_end=1.0), [0.5], linear=True)
         assert list(traj.times) == [0.0, 0.5, 1.0]
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_snapshot_time_refused(self, grid, t):
+        for run in self._runs(grid):
+            with pytest.raises(InvalidInputError, match=rf"snapshot time t={t}"):
+                run(SolverConfig(dt=0.05, t0=0.0, t_end=1.0), [0.5, t])
+
     @pytest.mark.parametrize("t", [3.0, -0.5])
     def test_linear_jump_refuses_times_outside_the_interval(self, grid, t):
         u0 = gaussian_field(grid, amp=0.05, sx=2.0, sy=2.0, kx=1.0)
@@ -192,6 +199,13 @@ class TestLinearized:
         ref = linear_propagate(W, 0.5)
         scale = np.abs(W.coeffs).max()
         assert np.abs(out.coeffs - ref.coeffs).max() < 1e-13 * scale
+
+    def test_one_step_blow_up_raises(self, grid, rng):
+        u = random_field(grid, rng).samples
+        big = 1e4 * u / np.abs(u).max()
+        bg = Trajectory([RealField(grid, big, 0.0), RealField(grid, big, 1.0)])
+        with pytest.raises(StepFailureError, match=r"at step 1 \(t=0\.5\).*grew by a factor"):
+            step_linearized(random_spectral(grid, rng), bg, 0.5)
 
     def test_translation_symmetry(self):
         # w = dx u is an exact solution of the linearized equation
@@ -420,3 +434,20 @@ class TestTrajectoryIO:
             SolverConfig(dt=0.1, t0=1.0, t_end=0.0)
         with pytest.raises(InvalidInputError):
             SolverConfig(dt=2.0, t0=0.0, t_end=1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["dt", "t0", "t_end"])
+    def test_config_refuses_non_finite_times(self, name, value):
+        times = {"dt": 0.1, "t0": 0.0, "t_end": 1.0, name: value}
+        with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+            SolverConfig(**times)
+
+    @pytest.mark.parametrize("key", ["dealias", "order"])
+    def test_load_refuses_an_unknown_config_key(self, grid, rng, tmp_path, key):
+        snaps = [RealField(grid, random_field(grid, rng).samples, t) for t in (0.0, 1.0)]
+        Trajectory(snaps, SolverConfig(dt=1.0, t0=0.0, t_end=1.0)).save(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["config"][key] = True
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(InvalidInputError, match=f"unknown key.*{key}"):
+            Trajectory.load(tmp_path)

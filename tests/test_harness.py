@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -101,6 +102,21 @@ class TestConfig:
             Pulse(-0.1, (1.0, 0.0), (1.0, 1.0))
         with pytest.raises(ConfigError):
             Pulse(0.1, (1.0, 0.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["amplitude", "carrier", "sigma", "center"])
+    def test_pulse_refuses_non_finite_numbers(self, name, value):
+        numbers = {"amplitude": 0.1, "carrier": (1.0, 0.0), "sigma": (1.0, 1.0),
+                   "center": (0.0, 0.0)}
+        numbers[name] = value if name == "amplitude" else (1.0, value)
+        with pytest.raises(ConfigError, match=f"initial.{name}: must be finite"):
+            Pulse(**numbers)
+
+    def test_stale_solver_key_refused(self):
+        d = json.loads(small_config().to_json())
+        d["solver"]["dealias"] = True
+        with pytest.raises(ConfigError, match="dealias"):
+            ExperimentConfig.from_json(json.dumps(d))
 
     def test_unknown_diagnostic(self):
         with pytest.raises(ConfigError):
@@ -217,6 +233,14 @@ class TestSeriesHelpers:
 
 
 class TestTheoremSuite:
+    @pytest.mark.parametrize("scale", [1.0, 0.25, 0.05])
+    def test_canned_configs_round_trip_through_json(self, scale):
+        for name, cfg in theorem_suite_configs(scale).items():
+            text = cfg.to_json()
+            assert "dealias" not in json.loads(text)["solver"], name
+            back = ExperimentConfig.from_json(text)
+            assert back.to_json() == text and back.solver == cfg.solver, name
+
     def test_config_catalog(self):
         cfgs = theorem_suite_configs()
         assert set(cfgs) == {"linear_decay", "conservation", "energy",

@@ -97,8 +97,6 @@ class TestPacketParams:
             PacketParams(VEL, 0.0)
         with pytest.raises(DomainError):
             PacketParams(RayVelocity(3.0, 0.0), 10.0)  # elliptic ray
-        with pytest.raises(InvalidInputError):
-            PacketParams(VEL, 10.0, chi_profile="boxcar")
 
 
 class TestBuildPacket:

@@ -1,12 +1,15 @@
 """Transforms, multipliers, zero-mode projection, and the dispersion symbol."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from kpwave.errors import DomainError, GridMismatchError, InvalidInputError
 from kpwave.grids import (
+    ComplexField,
     Grid2D,
     Multiplier,
     RealField,
@@ -14,6 +17,8 @@ from kpwave.grids import (
     apply_multiplier,
     dispersion_omega,
     forward_transform,
+    from_spectral,
+    full_lattice,
     hermitian_defect,
     inverse_transform,
     inverse_transform_complex,
@@ -28,10 +33,24 @@ from kpwave.grids import (
     project_zero_xmodes,
     save_snapshot,
     spectral_l2_norm,
+    to_spectral,
 )
 from kpwave.harness import theorem_suite_configs
 
 from conftest import random_field, random_spectral
+
+CANNED_GRIDS = pytest.mark.parametrize(
+    "grid", [c.grid for c in theorem_suite_configs().values()], ids=list(theorem_suite_configs()))
+
+
+def _full_lattice_phase(g: Grid2D) -> np.ndarray:
+    """The physical phase as one (nx, ny) array, each Nyquist factor the
+    real +-1 nearest it: the reference the transforms must reproduce."""
+    px = np.exp(-1j * g.xi * g.x[0])
+    py = np.exp(-1j * g.eta * g.y[0])
+    for p in (px, py):
+        p[len(p) // 2] = 1.0 if p[len(p) // 2].real >= 0 else -1.0
+    return px[:, None] * py[None, :]
 
 
 class TestGrid:
@@ -61,6 +80,40 @@ class TestGrid:
             Grid2D(64, 4, 16.0, 8.0, 0.0, 0.0)
         with pytest.raises(InvalidInputError):
             Grid2D(64, 32, -1.0, 8.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["Lx", "Ly", "x0", "y0"])
+    def test_rejects_non_finite_box(self, name, value):
+        box = {"Lx": 16.0, "Ly": 8.0, "x0": 0.0, "y0": 0.0, name: value}
+        with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+            Grid2D(16, 8, **box)
+
+    @CANNED_GRIDS
+    def test_holds_only_one_dimensional_arrays(self, grid):
+        for name, attr in vars(Grid2D).items():
+            if isinstance(attr, (property, cached_property)):
+                getattr(grid, name)
+        lattices = [k for k, v in vars(grid).items() if isinstance(v, np.ndarray) and v.ndim >= 2]
+        assert lattices == []
+
+    @CANNED_GRIDS
+    def test_transforms_match_the_full_lattice_phase(self, grid):
+        rng = np.random.default_rng(11)
+        phase, h = _full_lattice_phase(grid), grid.ny // 2 + 1
+        u = rng.standard_normal(grid.shape)
+        z = u + 1j * rng.standard_normal(grid.shape)
+        full = full_lattice(sfft.rfft2(u, norm="forward"), grid.ny)
+        F = forward_transform(RealField(grid, u))
+        assert np.array_equal(F.coeffs, full * phase)
+        assert np.array_equal(to_spectral(full[:, :h], grid, 0.0).coeffs, full * phase)
+        assert np.array_equal(from_spectral(F), F.coeffs[:, :h] / phase[:, :h])
+        assert np.array_equal(inverse_transform(F).samples,
+                              sfft.irfft2(F.coeffs[:, :h] / phase[:, :h], s=grid.shape, norm="forward"))
+        raw = sfft.fft2(z, norm="forward")
+        Fc = forward_transform(ComplexField(grid, z))
+        assert np.array_equal(Fc.coeffs, raw * phase)
+        assert np.array_equal(inverse_transform_complex(Fc).samples,
+                              sfft.ifft2(Fc.coeffs / phase, norm="forward"))
 
 
 class TestForwardTransform:
