@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from .grids import (
     is_projected,
     load_snapshot,
     omega_values,
+    samples_in_place,
     samples_of,
     save_snapshot,
     spectrum,
@@ -69,10 +70,14 @@ class SolverConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
         """The config that `asdict` gave `d`; a key it does not know, such as
-        one an older kpwave saved, raises `InvalidInputError` naming it."""
+        one an older kpwave saved, or a missing key without a default raises
+        `InvalidInputError` naming it."""
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise InvalidInputError(f"solver config: unknown key(s) {unknown}")
+        missing = [f.name for f in fields(cls) if f.name not in d and f.default is MISSING]
+        if missing:
+            raise InvalidInputError(f"solver config: missing key(s) {missing}")
         return cls(**d)
 
 
@@ -144,9 +149,23 @@ def _linear_flow(coeffs: np.ndarray, grid: Grid2D, dt: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # snapshot scheduling and stepping
 
+@dataclass(frozen=True)
+class _Steps:
+    """A stepping run's snapshot step indices, from `first` to `last`, held
+    without listing them: the members of `every` (a range or a frozenset)
+    and `last`."""
+
+    every: range | frozenset
+    first: int | None  # None when there are none
+    last: int | None
+
+    def __contains__(self, i: int) -> bool:
+        return i == self.last or i in self.every
+
+
 def _schedule(cfg: SolverConfig, snapshot_times, linear: bool = False):
     """The linear jump's sorted times (t0, t_end, the requested ones between)
-    or a stepping run's (steps, sorted snapshot steps): by default every
+    or a stepping run's (steps, `_Steps`): by default every
     `snapshot_stride` steps and the last, and a t_end or requested time off
     the lattice t0 + i*dt or outside [t0, t_end] is refused."""
     if linear:
@@ -166,28 +185,41 @@ def _schedule(cfg: SolverConfig, snapshot_times, linear: bool = False):
 
     nsteps = step(cfg.t_end, "t_end", math.inf)
     if snapshot_times is None:
-        return nsteps, sorted({*range(0, nsteps + 1, cfg.snapshot_stride), nsteps})
-    return nsteps, sorted({step(t, "snapshot time", nsteps) for t in snapshot_times})
+        return nsteps, _Steps(range(0, nsteps + 1, cfg.snapshot_stride), 0, nsteps)
+    steps = frozenset(step(t, "snapshot time", nsteps) for t in snapshot_times)
+    return nsteps, _Steps(steps, min(steps, default=None), max(steps, default=None))
 
 
 class _Workspace:
     """The stepping data of one run with step dt, on the rfft2 half spectrum
-    (the first ny//2 + 1 columns): the folded -i*xi*mask/(nx*ny) flux
-    multiplier and exp(i*omega*dt/2), exp(i*omega*dt), computed once.  For a
-    linearized run it also holds the background interpolator and the
-    samples at the previous step's t + dt.  The state is `grids.ingest`'s
-    raw half spectrum, which `grids.to_spectral`/`from_spectral` convert."""
+    (the first ny//2 + 1 columns): the flux and exp(i*omega*dt/2),
+    exp(i*omega*dt), computed once.  For a linearized run it also holds the
+    background interpolator and the samples at the previous step's t + dt.
+    The state is `grids.ingest`'s raw half spectrum, which
+    `grids.to_spectral`/`from_spectral` convert."""
 
     def __init__(self, grid: Grid2D, dt: float,
                  background: "BackgroundInterpolator | None" = None):
         self.grid, self.dt, self.background = grid, dt, background
-        self.flux = _flux(grid)
+        self.flux = _flux(grid, linearized=background is not None)
         self.e1 = np.exp(1j * omega_values(grid, grid.ny // 2 + 1) * (dt / 2))
         self.e2 = self.e1 * self.e1
         self._end = (math.nan, None)  # the previous step's t + dt and the background there
+        self._recorded = None  # the last snapshot's state and samples, for stage 1
 
     def real_field(self, coeffs: np.ndarray, t: float) -> RealField:
-        return RealField(self.grid, samples_of(coeffs, self.grid.shape), t)
+        samples = samples_of(coeffs, self.grid.shape)
+        self._recorded = (coeffs, samples)
+        return RealField(self.grid, samples, t)
+
+    def _samples(self, coeffs: np.ndarray) -> np.ndarray:
+        """A fresh copy of the samples of the state `coeffs`: the recorded
+        snapshot's if `real_field` has just inverted this state, else
+        `samples_of`'s."""
+        recorded, self._recorded = self._recorded, None
+        if recorded is not None and recorded[0] is coeffs:
+            return recorded[1].copy()
+        return samples_of(coeffs, self.grid.shape)
 
     def _background_stages(self, t: float) -> tuple:
         """The background at t, t + dt/2 and t + dt.  The previous step's
@@ -201,16 +233,14 @@ class _Workspace:
     def advance(self, coeffs: np.ndarray, t: float) -> np.ndarray:
         """One integrating-factor RK4 step from t of dc/dt = i*omega*c + N,
         N being -d/dx(w^2/2) of the field w, or -d/dx(u*w) along the
-        background u in a linearized run."""
-        dt, e1, e2 = self.dt, self.e1, self.e2
+        background u in a linearized run.  Each stage's coefficients are a
+        temporary that its inverse overwrites."""
+        dt, e1, e2, flux, ny = self.dt, self.e1, self.e2, self.flux, self.grid.ny
         u0, u_mid, u1 = (None,) * 3 if self.background is None else self._background_stages(t)
-
-        def nl(c, u):
-            return self.flux(samples_of(c, self.grid.shape), u)
-        n1 = nl(coeffs, u0)
-        n2 = nl(e1 * (coeffs + (dt / 2) * n1), u_mid)
-        n3 = nl(e1 * coeffs + (dt / 2) * n2, u_mid)
-        n4 = nl(e2 * coeffs + dt * e1 * n3, u1)
+        n1 = flux(self._samples(coeffs), u0)
+        n2 = flux(samples_in_place(e1 * (coeffs + (dt / 2) * n1), ny), u_mid)
+        n3 = flux(samples_in_place(e1 * coeffs + (dt / 2) * n2, ny), u_mid)
+        n4 = flux(samples_in_place(e2 * coeffs + dt * e1 * n3, ny), u1)
         # e2*c + dt/6*(e2*n1 + 2*e1*(n2 + n3) + n4) in place: less peak memory
         n2 += n3
         np.multiply(2 * e1, n2, out=n2)
@@ -220,13 +250,24 @@ class _Workspace:
         return np.add(e2 * coeffs, n2, out=n2)
 
 
-def _flux(grid: Grid2D):
-    """flux(w, u=None): -d/dx(w^2/2) of the samples w, or -d/dx(u*w) for
-    background samples u (the linearized term), as a raw half spectrum; the
-    folded -i*xi*mask/(nx*ny) multiplier carries the 2/3-rule mask."""
+def _flux(grid: Grid2D, linearized: bool = False):
+    """flux(w, u=None): -d/dx(w^2/2) of the samples w, or -d/dx(u*w) along
+    background samples u in a linearized run, as a raw half spectrum; the
+    product overwrites w.  The folded -i*xi*mask/(nx*ny) multiplier carries
+    the 2/3-rule mask and, for w^2/2, the 1/2 (a power of two: exact).  The
+    forward x pass runs only on the leading eta columns the mask keeps; the
+    multiplier zeroes the rest."""
     mask = grid.dealias_mask[:, :grid.ny // 2 + 1]
-    neg_dx = dx_symbol(grid)[:, None] * mask / -(grid.nx * grid.ny)
-    return lambda w, u=None: neg_dx * sfft.rfft2(0.5 * w * w if u is None else u * w)
+    cols = int(np.count_nonzero(mask[0]))  # the xi = 0 row: the eta part of the mask
+    neg_dx = dx_symbol(grid)[:, None] * mask / -((1 if linearized else 2) * grid.nx * grid.ny)
+
+    def flux(w, u=None):
+        np.multiply(w, w if u is None else u, out=w)
+        c = sfft.rfft(w, axis=1)
+        sfft.fft(c[:, :cols], axis=0, overwrite_x=True)
+        c *= neg_dx
+        return c
+    return flux
 
 
 def _march(coeffs: np.ndarray, t0: float, dt: float, nsteps: int, snap_steps,
@@ -235,10 +276,9 @@ def _march(coeffs: np.ndarray, t0: float, dt: float, nsteps: int, snap_steps,
     state `coeffs` at t0 and return `record(state, t0 + i*dt)` at each index
     in `snap_steps`.  The blow-up guard compares each step's L^2 norm with
     the previous one."""
-    wanted, out = set(snap_steps), []
-    norm = half_l2_squared(coeffs)
+    out, norm = [], half_l2_squared(coeffs)
     for i in range(nsteps + 1):
-        if i in wanted:
+        if i in snap_steps:
             out.append(record(coeffs, t0 + i * dt))
         if i == nsteps:
             return out
@@ -256,7 +296,7 @@ def nonlinear_term(u: RealField) -> RealField:
     if not is_projected(spectrum(u.samples)):
         raise InvalidInputError("field must be zero-x-mode projected")
     g = u.grid
-    return RealField(g, samples_of(_flux(g)(u.samples), g.shape), u.time_tag)
+    return RealField(g, samples_in_place(_flux(g)(u.samples.copy()), g.ny), u.time_tag)
 
 
 def step_nonlinear(F: SpectralField, dt: float) -> SpectralField:
@@ -330,7 +370,7 @@ def evolve(u0: RealField, cfg: SolverConfig,
     g = u0.grid
     if linear:
         coeffs = ingest(u0.samples)
-        snaps = [RealField(g, samples_of(_linear_flow(coeffs, g, t - cfg.t0), g.shape), t)
+        snaps = [RealField(g, samples_in_place(_linear_flow(coeffs, g, t - cfg.t0), g.ny), t)
                  for t in schedule]
         return Trajectory(snaps, cfg, {"mode": "linear"})
     ws = _Workspace(g, cfg.dt)

@@ -12,10 +12,13 @@ Conventions fixed here and relied on everywhere else:
 * One transform pair, `spectrum`/`samples_of`, gives raw coefficients
   (1/(nx*ny) normalized, no physical phase): the rfft2 half spectrum (the
   first ny//2 + 1 columns) of a real field, the fft2 lattice of a complex
-  one.  Inside kpwave every operation is a diagonal symbol product or a
-  Parseval sum, which the phase does not change, so the phase exists only
-  where a public `SpectralField` enters or leaves (`to_spectral`,
-  `from_spectral`, and `inverse_transform`'s Hermitian check).
+  one.  A half spectrum is inverted by an x pass and a y pass:
+  `samples_in_place` overwrites a buffer its caller gives up, and
+  `samples_of` inverts a private copy.  Inside kpwave every operation is a
+  diagonal symbol product or a Parseval sum, which the phase does not
+  change, so the phase exists only where a public `SpectralField` enters
+  or leaves (`to_spectral`, `from_spectral`, and `inverse_transform`'s
+  Hermitian check).
 * Nyquist modes sit on the negative half of the lattice; odd-symbol
   multipliers are zeroed there to preserve realness.
 * A real field's Nyquist coefficients are their own mirrors, so the phase
@@ -226,10 +229,18 @@ def spectrum(samples: np.ndarray) -> np.ndarray:
 
 def samples_of(coeffs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """The inverse of `spectrum`: real samples of a half spectrum, complex
-    ones of a full lattice."""
+    ones of a full lattice; `coeffs` is left as it is."""
     if coeffs.shape == shape:
         return sfft.ifft2(coeffs, norm="forward")
-    return sfft.irfft2(coeffs, s=shape, norm="forward")
+    return samples_in_place(coeffs.copy(), shape[1])
+
+
+def samples_in_place(coeffs: np.ndarray, ny: int) -> np.ndarray:
+    """The real samples of a complex half spectrum, which this overwrites:
+    ifft along x in place, then irfft along y.  That is irfft2's arithmetic
+    (bit for bit) without the complex temporary its x pass allocates."""
+    c = sfft.ifft(coeffs, axis=0, norm="forward", overwrite_x=True)
+    return sfft.irfft(c, n=ny, axis=1, norm="forward", overwrite_x=True)
 
 
 def ingest(samples: np.ndarray) -> np.ndarray:
@@ -301,7 +312,7 @@ def inverse_transform(F: SpectralField) -> RealField:
     """Inverse FFT; rejects coefficients that break Hermitian symmetry."""
     if hermitian_defect(F) > HERMITIAN_TOL:
         raise InvalidInputError("coefficients break Hermitian symmetry")
-    return RealField(F.grid, samples_of(from_spectral(F), F.grid.shape), F.time_tag)
+    return RealField(F.grid, samples_in_place(from_spectral(F), F.grid.ny), F.time_tag)
 
 
 def inverse_transform_complex(F: SpectralField) -> ComplexField:
@@ -324,7 +335,7 @@ def project_zero_xmodes(F: SpectralField) -> SpectralField:
 
 def project_field(f: RealField) -> RealField:
     """Zero-x-mode projection in physical space (ingestion convention)."""
-    return RealField(f.grid, samples_of(ingest(f.samples), f.grid.shape), f.time_tag)
+    return RealField(f.grid, samples_in_place(ingest(f.samples), f.grid.ny), f.time_tag)
 
 
 # ---------------------------------------------------------------------------

@@ -367,13 +367,19 @@ def _check_diagnostic_times(cfg: ExperimentConfig, linear: bool) -> None:
     snapshot on each side."""
     s = cfg.solver
     sched = _schedule(s, cfg.snapshot_times, linear)
-    snaps = np.array(sched if linear else [s.t0 + i * s.dt for i in sched[1]])
     for ds in cfg.diagnostics:
         for t in ds.params.get("times") or ():  # decompose and scatter take times
-            i = int(np.argmin(np.abs(snaps - t)))
-            if abs(snaps[i] - t) > 1e-9:
+            if linear:
+                i = int(np.argmin(np.abs(np.array(sched) - t)))
+                found, inner = abs(sched[i] - t) <= 1e-9, 0 < i < len(sched) - 1
+            else:  # the nearest lattice step, never a list of every snapshot step
+                x, steps = (t - s.t0) / s.dt, sched[1]
+                i = round(x) if math.isfinite(x) else -1
+                found = i in steps and abs(s.t0 + i * s.dt - t) <= 1e-9
+                inner = found and steps.first < i < steps.last
+            if not found:
                 raise ConfigError(f"diagnostics.{ds.kind}.times: t={t} is not a snapshot time")
-            if ds.kind == "scatter" and not 0 < i < len(snaps) - 1:
+            if ds.kind == "scatter" and not inner:
                 raise ConfigError(
                     f"diagnostics.scatter.times: t={t} needs a snapshot on each side")
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kpwave.evolution import (
     BackgroundInterpolator,
     SolverConfig,
     Trajectory,
+    _schedule,
     apply_symmetry,
     evolve,
     evolve_linearized,
@@ -166,6 +168,24 @@ class TestExactTimes:
             traj = run(SolverConfig(dt=0.03, t0=0.0, t_end=0.99), [0.99, 0.51, 0.0])
             assert np.allclose(traj.times, [0.0, 0.51, 0.99], rtol=0, atol=1e-12)
             assert traj.field_at(0.51).time_tag == 17 * 0.03
+
+    @pytest.mark.parametrize("nsteps, stride", [(10, 1), (10, 3), (9, 3), (1, 5)])
+    def test_default_snapshot_steps(self, nsteps, stride):
+        cfg = SolverConfig(dt=0.5, t0=1.0, t_end=1.0 + 0.5 * nsteps, snapshot_stride=stride)
+        n, steps = _schedule(cfg, None)
+        assert n == nsteps
+        assert ([i for i in range(n + 1) if i in steps]
+                == sorted({*range(0, n + 1, stride), n}))
+
+    def test_default_snapshot_steps_are_not_listed(self):
+        cfg = SolverConfig(dt=1.0, t0=0.0, t_end=1e6, snapshot_stride=7)
+        tracemalloc.start()
+        nsteps, steps = _schedule(cfg, None)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert nsteps == 10**6 and peak < 2**20
+        assert all(i in steps for i in (0, 7, 999_999, 10**6))
+        assert 8 not in steps and 10**6 + 7 not in steps
 
     def test_linear_jump_takes_any_time(self, grid):
         u0 = gaussian_field(grid, amp=0.05, sx=2.0, sy=2.0, kx=1.0)
@@ -441,6 +461,20 @@ class TestTrajectoryIO:
         times = {"dt": 0.1, "t0": 0.0, "t_end": 1.0, name: value}
         with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
             SolverConfig(**times)
+
+    @pytest.mark.parametrize("key", ["dt", "t0", "t_end", "snapshot_stride"])
+    def test_load_refuses_a_missing_config_key(self, grid, rng, tmp_path, key):
+        cfg = SolverConfig(dt=1.0, t0=0.0, t_end=1.0, snapshot_stride=2)
+        snaps = [RealField(grid, random_field(grid, rng).samples, t) for t in (0.0, 1.0)]
+        Trajectory(snaps, cfg).save(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest["config"][key]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        if key == "snapshot_stride":  # has a default
+            assert Trajectory.load(tmp_path).config.snapshot_stride == 1
+            return
+        with pytest.raises(InvalidInputError, match=f"missing key.*{key}"):
+            Trajectory.load(tmp_path)
 
     @pytest.mark.parametrize("key", ["dealias", "order"])
     def test_load_refuses_an_unknown_config_key(self, grid, rng, tmp_path, key):

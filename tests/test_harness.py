@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,36 @@ class TestTheoremSuite:
                 steps = (t - s.t0) / s.dt
                 assert abs(steps - round(steps)) <= 1e-9, (name, t)
                 assert s.t0 <= t <= s.t_end, (name, t)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_diagnostic_times_on_a_long_default_schedule(self, stride):
+        # a million steps with every snapshot step held as a range: nothing
+        # lists them, so the check stays small
+        solver = SolverConfig(dt=0.5, t0=0.0, t_end=5e5, snapshot_stride=stride)
+
+        def check(kind, t):
+            cfg = small_config(solver=solver, snapshot_times=None,
+                               diagnostics=(DiagnosticSpec(kind, {"times": [t]}),))
+            _check_diagnostic_times(cfg, False)
+        tracemalloc.start()
+        check("scatter", 3.0)
+        check("decompose", 5e5)  # the last step, off the stride
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**20
+        for kind, t, match in (("decompose", 0.25, "not a snapshot time"),
+                               ("decompose", 1.0, "not a snapshot time" if stride == 3 else None),
+                               ("decompose", math.nan, "not a snapshot time"),
+                               ("scatter", 0.0, "each side"),
+                               ("scatter", 5e5, "each side")):
+            if match is None:
+                check(kind, t)
+                continue
+            with pytest.raises(ConfigError, match=match):
+                check(kind, t)
+        with pytest.raises(ConfigError, match="not a snapshot time"):
+            _check_diagnostic_times(small_config(snapshot_times=(), diagnostics=(
+                DiagnosticSpec("scatter", {"times": [0.5]}),)), False)
 
     def test_smoke_run(self, tmp_path):
         results = run_theorem_suite(tmp_path, scale=0.05, only=["conservation"])
