@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy import fft as sfft
@@ -67,18 +68,42 @@ class SolverConfig:
         if self.snapshot_stride < 1:
             raise InvalidInputError("snapshot_stride must be >= 1")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverConfig":
-        """The config that `asdict` gave `d`; a key it does not know, such as
-        one an older kpwave saved, or a missing key without a default raises
-        `InvalidInputError` naming it."""
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise InvalidInputError(f"solver config: unknown key(s) {unknown}")
-        missing = [f.name for f in fields(cls) if f.name not in d and f.default is MISSING]
-        if missing:
-            raise InvalidInputError(f"solver config: missing key(s) {missing}")
-        return cls(**d)
+
+def load_config(hint, v, error: type[Exception], path: str = ""):
+    """Build a `hint` (a config dataclass at the top) from `v`, the JSON form
+    `asdict` gave it, with the dataclasses' own fields, type hints and
+    defaults.  An unknown or missing key, a value of the wrong shape, or one
+    a dataclass refuses raises `error` naming its dotted path."""
+    args, where = get_args(hint), path or hint.__name__
+    if type(None) in args:  # X | None
+        if v is None:
+            return None
+        hint, args = args[0], get_args(args[0])
+    if (is_dataclass(hint) or hint is dict) and not isinstance(v, dict):
+        raise error(f"{where}: expected an object, got {v!r}")
+    if get_origin(hint) is tuple:
+        if not isinstance(v, (list, tuple)):
+            raise error(f"{where}: expected an array, got {v!r}")
+        items = args[:1] * len(v) if args[1:] == (...,) else args
+        if len(items) != len(v):
+            raise error(f"{where}: expected {len(items)} entries, got {len(v)}")
+        return tuple(load_config(h, x, error, f"{path}[{i}]")
+                     for i, (h, x) in enumerate(zip(items, v)))
+    if not is_dataclass(hint):
+        return v
+    unknown = sorted(set(v) - {f.name for f in fields(hint)})
+    missing = [f.name for f in fields(hint) if f.name not in v
+               and f.default is MISSING and f.default_factory is MISSING]
+    if unknown:
+        raise error(f"{where}: unknown key(s) {unknown}")
+    if missing:
+        raise error(f"{where}: missing key(s) {missing}")
+    hints = get_type_hints(hint)
+    try:
+        return hint(**{k: load_config(hints[k], x, error, f"{path}.{k}" if path else k)
+                       for k, x in v.items()})
+    except (TypeError, ValueError) as exc:  # what a dataclass refuses, as `error`
+        raise exc if isinstance(exc, error) else error(f"{where}: {exc}")
 
 
 @dataclass
@@ -99,13 +124,13 @@ class Trajectory:
         return np.array([s.time_tag for s in self.snapshots])
 
     def field_at(self, t: float, tol: float = 1e-9) -> RealField:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.snapshots[i].time_tag - t) > tol:
+        i = snapshot_index(self.times, t, tol)
+        if i is None:
             raise DomainError(f"no snapshot at t={t}")
         return self.snapshots[i]
 
     def nearest_time(self, t: float) -> float:
-        return float(self.times[int(np.argmin(np.abs(self.times - t)))])
+        return float(self.times[snapshot_index(self.times, t, math.inf)])
 
     def save(self, directory: Path | str) -> None:
         directory = Path(directory)
@@ -126,8 +151,15 @@ class Trajectory:
         manifest = json.loads((directory / "manifest.json").read_text())
         snaps = [load_snapshot(directory / f"snap_{i:05d}")
                  for i in range(len(manifest["time_tags"]))]
-        config = SolverConfig.from_dict(manifest["config"]) if "config" in manifest else None
+        config = load_config(SolverConfig | None, manifest.get("config"),
+                             InvalidInputError, "config")
         return cls(snaps, config, manifest.get("provenance", {}))
+
+
+def snapshot_index(times, t: float, tol: float = 1e-9) -> int | None:
+    """The index of the entry of `times` nearest t, or None beyond tol."""
+    i = int(np.argmin(np.abs(np.asarray(times) - t)))
+    return i if abs(times[i] - t) <= tol else None
 
 
 # ---------------------------------------------------------------------------
@@ -204,85 +236,86 @@ class _Workspace:
         self.flux = _flux(grid, linearized=background is not None)
         self.e1 = np.exp(1j * omega_values(grid, grid.ny // 2 + 1) * (dt / 2))
         self.e2 = self.e1 * self.e1
-        self._end = (math.nan, None)  # the previous step's t + dt and the background there
-        self._recorded = None  # the last snapshot's state and samples, for stage 1
-
-    def real_field(self, coeffs: np.ndarray, t: float) -> RealField:
-        samples = samples_of(coeffs, self.grid.shape)
-        self._recorded = (coeffs, samples)
-        return RealField(self.grid, samples, t)
-
-    def _samples(self, coeffs: np.ndarray) -> np.ndarray:
-        """A fresh copy of the samples of the state `coeffs`: the recorded
-        snapshot's if `real_field` has just inverted this state, else
-        `samples_of`'s."""
-        recorded, self._recorded = self._recorded, None
-        if recorded is not None and recorded[0] is coeffs:
-            return recorded[1].copy()
-        return samples_of(coeffs, self.grid.shape)
+        # one block each for the four fluxes and the background at t, t + dt/2, t + dt,
+        # written over at every step: the heap neither regrows per step nor fragments
+        self.n = np.empty((4,) + self.e1.shape, complex)
+        self.u = list(np.empty((0 if background is None else 3,) + grid.shape))
+        self._end = math.nan  # the previous step's t + dt, whose background u[0] holds
 
     def _background_stages(self, t: float) -> tuple:
         """The background at t, t + dt/2 and t + dt.  The previous step's
         t + dt is this t (to roundoff) and is not evaluated again."""
-        bg, dt = self.background, self.dt
-        t_end, end = self._end
-        start = end if math.isclose(t_end, t, rel_tol=1e-14, abs_tol=1e-14) else bg.samples_at(t)
-        mid, self._end = bg.samples_at(t + dt / 2), (t + dt, bg.samples_at(t + dt))
-        return start, mid, self._end[1]
+        bg, dt, (start, mid, end) = self.background, self.dt, self.u
+        if not math.isclose(self._end, t, rel_tol=1e-14, abs_tol=1e-14):
+            bg.samples_at(t, start)
+        bg.samples_at(t + dt / 2, mid)
+        bg.samples_at(t + dt, end)
+        self._end, self.u = t + dt, [end, mid, start]
+        return start, mid, end
 
-    def advance(self, coeffs: np.ndarray, t: float) -> np.ndarray:
+    def advance(self, coeffs: np.ndarray, t: float,
+                samples: np.ndarray | None = None) -> np.ndarray:
         """One integrating-factor RK4 step from t of dc/dt = i*omega*c + N,
         N being -d/dx(w^2/2) of the field w, or -d/dx(u*w) along the
-        background u in a linearized run.  Each stage's coefficients are a
-        temporary that its inverse overwrites."""
+        background u in a linearized run.  Stages 3 and 4 build their input
+        in their flux's buffer, which the inverse overwrites; stage 1
+        overwrites `samples`, the samples of `coeffs` if the caller gives
+        them up."""
         dt, e1, e2, flux, ny = self.dt, self.e1, self.e2, self.flux, self.grid.ny
+        n1, n2, n3, n4 = self.n
         u0, u_mid, u1 = (None,) * 3 if self.background is None else self._background_stages(t)
-        n1 = flux(self._samples(coeffs), u0)
-        n2 = flux(samples_in_place(e1 * (coeffs + (dt / 2) * n1), ny), u_mid)
-        n3 = flux(samples_in_place(e1 * coeffs + (dt / 2) * n2, ny), u_mid)
-        n4 = flux(samples_in_place(e2 * coeffs + dt * e1 * n3, ny), u1)
-        # e2*c + dt/6*(e2*n1 + 2*e1*(n2 + n3) + n4) in place: less peak memory
+        flux(samples_of(coeffs, self.grid.shape) if samples is None else samples, u0, n1)
+        del samples  # overwritten by stage 1: not held through the later stages
+        # stage 2 keeps its temporary: numpy takes e1*(temporary) as temporary*e1
+        # on large arrays, and a complex product's bits depend on the operand order
+        flux(samples_in_place(e1 * (coeffs + (dt / 2) * n1), ny), u_mid, n2)
+        np.add(np.multiply(e1, coeffs, out=n3), (dt / 2) * n2, out=n3)
+        flux(samples_in_place(n3, ny), u_mid, n3)
+        np.add(np.multiply(e2, coeffs, out=n4), dt * e1 * n3, out=n4)
+        flux(samples_in_place(n4, ny), u1, n4)
+        # e2*c + dt/6*(e2*n1 + 2*e1*(n2 + n3) + n4), all but the new state in place
         n2 += n3
         np.multiply(2 * e1, n2, out=n2)
-        np.add(e2 * n1, n2, out=n2)
+        np.add(np.multiply(e2, n1, out=n1), n2, out=n2)
         n2 += n4
         np.multiply(dt / 6, n2, out=n2)
-        return np.add(e2 * coeffs, n2, out=n2)
+        new = e2 * coeffs
+        return np.add(new, n2, out=new)
 
 
 def _flux(grid: Grid2D, linearized: bool = False):
-    """flux(w, u=None): -d/dx(w^2/2) of the samples w, or -d/dx(u*w) along
-    background samples u in a linearized run, as a raw half spectrum; the
-    product overwrites w.  The folded -i*xi*mask/(nx*ny) multiplier carries
-    the 2/3-rule mask and, for w^2/2, the 1/2 (a power of two: exact).  The
-    forward x pass runs only on the leading eta columns the mask keeps; the
-    multiplier zeroes the rest."""
+    """flux(w, u=None, out=None): -d/dx(w^2/2) of the samples w, or
+    -d/dx(u*w) along background samples u in a linearized run, as a raw
+    half spectrum, in `out` if it is given; the product overwrites w.  The
+    folded -i*xi*mask/(nx*ny) multiplier carries the 2/3-rule mask and, for
+    w^2/2, the 1/2 (a power of two: exact).  The forward x pass runs only on
+    the leading eta columns the mask keeps; the multiplier zeroes the rest."""
     mask = grid.dealias_mask[:, :grid.ny // 2 + 1]
     cols = int(np.count_nonzero(mask[0]))  # the xi = 0 row: the eta part of the mask
     neg_dx = dx_symbol(grid)[:, None] * mask / -((1 if linearized else 2) * grid.nx * grid.ny)
 
-    def flux(w, u=None):
+    def flux(w, u=None, out=None):
         np.multiply(w, w if u is None else u, out=w)
         c = sfft.rfft(w, axis=1)
         sfft.fft(c[:, :cols], axis=0, overwrite_x=True)
-        c *= neg_dx
-        return c
+        return np.multiply(c, neg_dx, out=c if out is None else out)
     return flux
 
 
 def _march(coeffs: np.ndarray, t0: float, dt: float, nsteps: int, snap_steps,
            advance, record) -> list:
-    """The stepping loop: take `nsteps` steps of `advance(coeffs, t)` from the
-    state `coeffs` at t0 and return `record(state, t0 + i*dt)` at each index
-    in `snap_steps`.  The blow-up guard compares each step's L^2 norm with
-    the previous one."""
+    """The stepping loop: take `nsteps` steps of `advance` from the state
+    `coeffs` at t0, handing it a copy of a recorded snapshot's samples, and
+    return `record(state, t0 + i*dt)` at each index in `snap_steps`.  The
+    blow-up guard compares each step's L^2 norm with the previous one."""
     out, norm = [], half_l2_squared(coeffs)
     for i in range(nsteps + 1):
         if i in snap_steps:
             out.append(record(coeffs, t0 + i * dt))
         if i == nsteps:
             return out
-        new = advance(coeffs, t0 + i * dt)
+        given = getattr(out[-1], "samples", None) if i in snap_steps else None
+        new = advance(coeffs, t0 + i * dt, None if given is None else given.copy())
         new_norm = half_l2_squared(new)
         if not new_norm <= BLOWUP_FACTOR**2 * max(norm, 1e-300):
             raise StepFailureError(
@@ -325,14 +358,16 @@ class BackgroundInterpolator:
     def covers(self, t0: float, t1: float) -> bool:
         return self.times[0] - 1e-9 <= t0 and t1 <= self.times[-1] + 1e-9
 
-    def samples_at(self, t: float) -> np.ndarray:
+    def samples_at(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """The samples at t, written into `out` if it is given."""
         ts = self.times
         if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
             raise DomainError(f"background does not cover t={t}")
         i = int(np.searchsorted(ts, t))
         lo = max(0, min(i - 2, len(ts) - 4)) if len(ts) >= 4 else 0
         idx = range(lo, min(lo + 4, len(ts)))
-        out = np.zeros(self.snaps[0].samples.shape)
+        out = np.empty(self.snaps[0].samples.shape) if out is None else out
+        out.fill(0.0)
         for j in idx:
             lj = 1.0
             for m in idx:
@@ -374,8 +409,9 @@ def evolve(u0: RealField, cfg: SolverConfig,
                  for t in schedule]
         return Trajectory(snaps, cfg, {"mode": "linear"})
     ws = _Workspace(g, cfg.dt)
-    return Trajectory(_march(ingest(u0.samples), cfg.t0, cfg.dt, *schedule,
-                             ws.advance, ws.real_field), cfg, {"mode": "nonlinear"})
+    snaps = _march(ingest(u0.samples), cfg.t0, cfg.dt, *schedule, ws.advance,
+                   lambda c, t: RealField(g, samples_of(c, g.shape), t))
+    return Trajectory(snaps, cfg, {"mode": "nonlinear"})
 
 
 def evolve_linearized(w0: RealField, background: Trajectory, cfg: SolverConfig,
@@ -387,8 +423,9 @@ def evolve_linearized(w0: RealField, background: Trajectory, cfg: SolverConfig,
     if not bg.covers(cfg.t0, cfg.t_end):
         raise DomainError("background trajectory does not cover [t0, t_end]")
     ws = _Workspace(w0.grid, cfg.dt, bg)
-    return Trajectory(_march(ingest(w0.samples), cfg.t0, cfg.dt, *schedule,
-                             ws.advance, ws.real_field), cfg, {"mode": "linearized"})
+    snaps = _march(ingest(w0.samples), cfg.t0, cfg.dt, *schedule, ws.advance,
+                   lambda c, t: RealField(ws.grid, samples_of(c, ws.grid.shape), t))
+    return Trajectory(snaps, cfg, {"mode": "linearized"})
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
-from .evolution import SolverConfig, Trajectory, _schedule, evolve
+from .errors import ConfigError, DomainError, InvalidInputError
+from .evolution import SolverConfig, Trajectory, _schedule, evolve, load_config, snapshot_index
 from .geometry import RayVelocity, resonant_triad
 from .grids import (
     Grid2D,
@@ -30,7 +30,7 @@ from .grids import (
 )
 from .decompose import pointwise_profile
 from .packets import GammaSeries, PacketParams, _pair, gamma_dot_series
-from .scattering import extract_scatter_data, scattering_residuals
+from .scattering import DEFAULT_ALPHA, BandProjection, extract_scatter_data, scattering_residuals
 from .vfields import _Spectrum, derivative, x_norm
 
 
@@ -135,32 +135,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        try:
-            init = d["initial"]
-            pulses = tuple(
-                Pulse(amplitude=p["amplitude"],
-                      carrier=tuple(p["carrier"]),
-                      sigma=tuple(p["sigma"]),
-                      center=tuple(p.get("center", (0.0, 0.0))))
-                for p in init["pulses"])
-            return cls(
-                grid=Grid2D(**d["grid"]),
-                initial=InitialSpec(family=init["family"], pulses=pulses,
-                                    noise_amplitude=init.get("noise_amplitude", 0.0)),
-                solver=SolverConfig.from_dict(d["solver"]),
-                diagnostics=tuple(DiagnosticSpec(ds["kind"], ds.get("params", {}))
-                                  for ds in d.get("diagnostics", [])),
-                snapshot_times=(None if d.get("snapshot_times") is None
-                                else tuple(d["snapshot_times"])),
-                seed=int(d.get("seed", 0)),
-                linear=bool(d.get("linear", False)),
-                save_trajectory=bool(d.get("save_trajectory", True)),
-                out_dir=d.get("out_dir"),
-            )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed experiment config: {exc}") from exc
+        return load_config(cls, d, ConfigError)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
@@ -309,11 +284,10 @@ def _diag_gamma(traj: Trajectory, params: dict, out: Path) -> None:
 
 def _diag_decompose(traj: Trajectory, params: dict, out: Path) -> None:
     times = params.get("times") or [float(t) for t in traj.times if t >= 1]
-    delta = params.get("delta", 1.0)
-    width = params.get("width", 0.5)
+    given = {k: v for k, v in params.items() if k != "times"}
     prows, srows = [], []
     for t in times:
-        prof = pointwise_profile(traj.field_at(t), t, delta=delta, width=width)
+        prof = pointwise_profile(traj.field_at(t), t, **given)
         for r in prof.rows:
             prows.append((t, r.v_lo, r.v_hi,
                           r.sup_hyp, r.bound_hyp, r.ratio_hyp,
@@ -337,11 +311,11 @@ def _diag_decompose(traj: Trajectory, params: dict, out: Path) -> None:
 
 
 def _diag_scatter(traj: Trajectory, params: dict, out: Path) -> None:
-    alpha = params.get("alpha", 1.0 / 6.0)
     times = params.get("times") or [float(t) for t in traj.times[1:-1] if t >= 1]
+    given = {k: v for k, v in params.items() if k != "times"}
     rows = []
     for t in times:
-        r = scattering_residuals(traj, t, alpha)
+        r = scattering_residuals(traj, t, **given)
         rows.append((r.t, r.umod_l2, r.scat_helper_residual,
                      r.modscat_residual, r.back_propagated_data_drift))
     _write_csv(out / "scatter.csv",
@@ -362,16 +336,16 @@ _DIAG_RUNNERS = {
 
 
 def _check_diagnostic_times(cfg: ExperimentConfig, linear: bool) -> None:
-    """Refuse, before any evolution, a `decompose` or `scatter` time that is
-    not one of the run's snapshot times, or a `scatter` time without a
-    snapshot on each side."""
+    """Refuse, before any evolution, a `decompose` or `scatter` time below 1
+    or not among the run's snapshot times, and a `scatter` time without a
+    snapshot on each side or whose band holds no grid x-frequency."""
     s = cfg.solver
     sched = _schedule(s, cfg.snapshot_times, linear)
     for ds in cfg.diagnostics:
         for t in ds.params.get("times") or ():  # decompose and scatter take times
             if linear:
-                i = int(np.argmin(np.abs(np.array(sched) - t)))
-                found, inner = abs(sched[i] - t) <= 1e-9, 0 < i < len(sched) - 1
+                i = snapshot_index(sched, t)
+                found, inner = i is not None, i is not None and 0 < i < len(sched) - 1
             else:  # the nearest lattice step, never a list of every snapshot step
                 x, steps = (t - s.t0) / s.dt, sched[1]
                 i = round(x) if math.isfinite(x) else -1
@@ -382,6 +356,13 @@ def _check_diagnostic_times(cfg: ExperimentConfig, linear: bool) -> None:
             if ds.kind == "scatter" and not inner:
                 raise ConfigError(
                     f"diagnostics.scatter.times: t={t} needs a snapshot on each side")
+            if not t >= 1:  # the profile and the band are defined for t >= 1
+                raise ConfigError(f"diagnostics.{ds.kind}.times: t={t} is below 1")
+            if ds.kind == "scatter":
+                try:
+                    BandProjection(t, ds.params.get("alpha", DEFAULT_ALPHA)).rows(cfg.grid)
+                except (DomainError, InvalidInputError) as exc:
+                    raise ConfigError(f"diagnostics.scatter.times: t={t}: {exc}") from exc
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> Path:
@@ -498,7 +479,7 @@ def theorem_suite_configs(scale: float = 1.0) -> dict:
         initial=InitialSpec("modulated_gaussian", (Pulse(0.02, (1.0, 0.0), (4.0, 4.0)),)),
         solver=SolverConfig(dt=0.05, t0=0.0, t_end=on_lattice(t_pk, 0.05)),
         diagnostics=(DiagnosticSpec("gamma",
-                                    {"rays": [(-3.0, 0.0)], "t_min": 10.0 * min(1.0, scale * 2)}),),
+                                    {"rays": [[-3.0, 0.0]], "t_min": 10.0 * min(1.0, scale * 2)}),),
         snapshot_times=tuple(on_lattice(t, 0.05) for t in
                              log_times(min(10.0, t_pk / 2), t_pk, per_octave=16)),
         save_trajectory=False)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .evolution import Trajectory, _linear_flow
+from .evolution import Trajectory, _linear_flow, snapshot_index
 from .decompose import _plus_coeffs
 from .grids import (
     ComplexField,
@@ -46,6 +46,16 @@ class BandProjection:
     def upper(self) -> float:
         return self.t ** (self.alpha / 2)
 
+    def rows(self, grid) -> np.ndarray:
+        """The grid's x-frequency rows the band keeps; `DomainError` if none."""
+        abs_xi = np.abs(grid.xi)
+        in_band = (abs_xi >= self.lower) & (abs_xi <= self.upper)
+        in_band[0] = False
+        if not np.any(in_band):
+            raise DomainError(
+                f"band [{self.lower:.3g}, {self.upper:.3g}] contains no grid x-frequencies")
+        return in_band
+
 
 @dataclass(frozen=True)
 class ScatterReport:
@@ -68,13 +78,7 @@ def _band(coeffs: np.ndarray, grid, bp: BandProjection) -> np.ndarray:
     """The raw coefficients of a projected field kept by the band."""
     if not is_projected(coeffs):
         raise InvalidInputError("field must be zero-x-mode projected")
-    abs_xi = np.abs(grid.xi)
-    in_band = (abs_xi >= bp.lower) & (abs_xi <= bp.upper)
-    in_band[0] = False
-    if not np.any(in_band):
-        raise DomainError(
-            f"band [{bp.lower:.3g}, {bp.upper:.3g}] contains no grid x-frequencies")
-    return np.where(in_band[:, None], coeffs, 0.0)
+    return np.where(bp.rows(grid)[:, None], coeffs, 0.0)
 
 
 def band_project(u: RealField, bp: BandProjection) -> tuple[RealField, ComplexField]:
@@ -138,8 +142,8 @@ def scattering_residuals(traj: Trajectory, t: float,
     moving band edges are accounted for automatically.
     """
     times = traj.times
-    idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > 1e-9:
+    idx = snapshot_index(times, t)
+    if idx is None:
         raise DomainError(f"no snapshot at t={t}")
     if idx == 0 or idx == len(times) - 1:
         raise InvalidInputError("need snapshots bracketing t on both sides")
@@ -174,10 +178,12 @@ def extract_scatter_data(traj: Trajectory, min_fraction: float = 0.25
     late = [s for s in traj.snapshots if s.time_tag >= times[-1] * min_fraction]
     if len(late) < 2:
         raise InvalidInputError("too few late snapshots for a drift series")
-    g, spectra = late[0].grid, [spectrum(s.samples) for s in late]
-    if not all(is_projected(c) for c in spectra):
-        raise InvalidInputError("field must be zero-x-mode projected")
-    backs = [_linear_flow(c, g, -s.time_tag) for c, s in zip(spectra, late)]
-    drift_series = [(float(s.time_tag), _Spectrum(g, b - a, 0.0).l2())
-                    for s, a, b in zip(late[1:], backs, backs[1:])]
-    return RealField(g, samples_of(backs[-1], g.shape), 0.0), drift_series
+    g, drift_series, prev = late[0].grid, [], None
+    for s in late:  # one pullback at a time: only the previous one is kept
+        if not is_projected(c := spectrum(s.samples)):
+            raise InvalidInputError("field must be zero-x-mode projected")
+        back = _linear_flow(c, g, -s.time_tag)
+        if prev is not None:
+            drift_series.append((float(s.time_tag), _Spectrum(g, back - prev, 0.0).l2()))
+        prev = back
+    return RealField(g, samples_of(prev, g.shape), 0.0), drift_series

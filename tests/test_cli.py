@@ -61,6 +61,18 @@ class TestEvolve:
         assert error["error"] == "ConfigError"
         assert "t_end must be finite" in error["message"]
 
+    def test_misspelled_key_refused(self, capsys, config_path, tmp_path):
+        d = json.loads(config_path.read_text())
+        d["initial"]["pulses"][0]["centre"] = [1.0, 0.0]
+        config_path.write_text(json.dumps(d))
+        code, _, err = run_cli(capsys, "--config", str(config_path),
+                               "--out", str(tmp_path / "run"), "evolve")
+        assert code == 2
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert "initial.pulses[0]: unknown key(s) ['centre']" in error["message"]
+        assert not (tmp_path / "run").exists()
+
     def test_missing_config(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "--out", str(tmp_path / "x"), "evolve")
         assert code == 2
@@ -133,6 +145,16 @@ class TestTheoremSuite:
         assert code == 0
         results = json.loads(out)
         assert set(results) == {"conservation", "resonances"}
+
+    @pytest.mark.parametrize("scale", ["0.05", "0.1", "0.25"])
+    def test_scatter_refused_before_evolving(self, capsys, tmp_path, scale):
+        # the first scatter time is below 1 (0.05) or its band holds no grid
+        # x-frequency (0.1, 0.25)
+        code, _, err = run_cli(capsys, "--out", str(tmp_path / "suite"),
+                               "theorem-suite", "--scale", scale, "--only", "scatter")
+        assert code == 2
+        assert json.loads(err)["error"] == "ConfigError"
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 _LOADED_SCIPY = """

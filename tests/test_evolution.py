@@ -14,6 +14,7 @@ from kpwave.evolution import (
     SolverConfig,
     Trajectory,
     _schedule,
+    _Workspace,
     apply_symmetry,
     evolve,
     evolve_linearized,
@@ -260,7 +261,7 @@ class TestLinearized:
         calls = []
         samples_at = BackgroundInterpolator.samples_at
         monkeypatch.setattr(BackgroundInterpolator, "samples_at",
-                            lambda self, t: calls.append(t) or samples_at(self, t))
+                            lambda self, t, out=None: calls.append(t) or samples_at(self, t, out))
         w0 = derivative(bg.snapshots[0], dx_order=1)
         evolve_linearized(w0, bg, SolverConfig(dt=0.05, t0=0.0, t_end=0.5))
         assert len(calls) == 21
@@ -355,6 +356,21 @@ class TestHalfSpectrum:
                            _reference_ifrk4(u0, dt, 10, BackgroundInterpolator(bg)))):
             got = traj.snapshots[-1].samples
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    def test_a_step_allocates_at_most_a_transform_pair_beyond_its_workspace(self, linearized):
+        # the workspace's blocks hold the fluxes and the background, so the
+        # heap does not shrink and grow again from one step to the next
+        g = Grid2D(256, 64, 80.0, 40.0, 0.0, 0.0)
+        u0 = self._noise(g)
+        bg = BackgroundInterpolator(self._background(g)) if linearized else None
+        ws, c = _Workspace(g, 0.01, bg), ingest(u0.samples)
+        ws.advance(c, 0.0)
+        tracemalloc.start()
+        ws.advance(c, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= c.nbytes + u0.samples.nbytes + 2**14
 
     @pytest.mark.parametrize("g", GRIDS)
     def test_guard_norm_is_the_full_lattice_norm(self, g):

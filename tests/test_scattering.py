@@ -1,10 +1,12 @@
 """Moving-band projection, the quadratic correction, and scattering data."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kpwave.errors import DomainError, InvalidInputError
-from kpwave.evolution import SolverConfig, evolve
+from kpwave.evolution import SolverConfig, Trajectory, evolve
 from kpwave.grids import ComplexField, Grid2D, RealField, l2_norm
 from kpwave.scattering import (
     BandProjection,
@@ -162,6 +164,26 @@ class TestExtractScatterData:
         u_sc, _ = extract_scatter_data(nonlinear_traj, min_fraction=0.1)
         late = nonlinear_traj.snapshots[-1]
         assert abs(l2_norm(u_sc) - l2_norm(late)) < 1e-10 * l2_norm(late)
+
+    def test_peak_memory_does_not_grow_with_late_snapshots(self, rng):
+        g = Grid2D(256, 64, 64.0, 32.0)
+        u0 = random_field(g, rng)
+
+        def peak(n):
+            traj = evolve(u0, SolverConfig(dt=1.0, t0=0.0, t_end=float(n)),
+                          snapshot_times=[float(k) for k in range(n + 1)], linear=True)
+            tracemalloc.start()
+            extract_scatter_data(traj, min_fraction=0.0)
+            out = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return out
+        assert peak(24) < 1.2 * peak(3)
+
+    def test_unprojected_snapshot_refused(self, grid, rng):
+        traj = Trajectory([RealField(grid, rng.standard_normal(grid.shape), t)
+                           for t in (1.0, 2.0)])
+        with pytest.raises(InvalidInputError, match="projected"):
+            extract_scatter_data(traj)
 
     def test_too_few_snapshots(self, grid, rng):
         u0 = random_field(grid, rng)
