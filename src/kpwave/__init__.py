@@ -2,6 +2,8 @@
 dispersive wave model with third-order x-dispersion and an inverse-x
 transverse term, on a periodic box with zero x-mean."""
 
+__version__ = "0.1.0"  # first: `harness` records it in each run's manifest
+
 from .errors import (
     ConfigError,
     DomainError,
@@ -95,5 +97,3 @@ from .harness import (
     sup_norm_series,
     theorem_suite_configs,
 )
-
-__version__ = "0.1.0"

@@ -194,6 +194,13 @@ class _Steps:
     def __contains__(self, i: int) -> bool:
         return i == self.last or i in self.every
 
+    def before(self, i: int) -> int | None:
+        """The snapshot step before step i, a range's found by arithmetic."""
+        if isinstance(self.every, range):
+            below = range(self.every.start, min(i, self.every.stop), self.every.step)
+            return below[-1] if below else None
+        return max((j for j in self.every if j < i), default=None)
+
 
 def _schedule(cfg: SolverConfig, snapshot_times, linear: bool = False):
     """The linear jump's sorted times (t0, t_end, the requested ones between)

@@ -285,8 +285,7 @@ def is_projected(coeffs: np.ndarray) -> bool:
 def half_l2_squared(coeffs: np.ndarray) -> float:
     """sum |c|^2 over the full lattice from a half spectrum: interior
     columns count twice, the eta = 0 and y-Nyquist columns once."""
-    ends = coeffs[:, [0, -1]]
-    return 2 * np.vdot(coeffs, coeffs).real - np.vdot(ends, ends).real
+    return 2 * sum_squares(coeffs) - sum_squares(coeffs[:, [0, -1]])
 
 
 def forward_transform(f: RealField | ComplexField) -> SpectralField:
@@ -400,21 +399,29 @@ def multiplier_omega(grid: Grid2D) -> Multiplier:
 # norms and pairings
 
 
+def sum_squares(a: np.ndarray) -> float:
+    """sum |a|^2 in numpy's own einsum loop on views (a complex array's real
+    and imaginary parts): no copy, and never BLAS, whose threads split a sum
+    in an order the host sets."""
+    parts, ax = (a.real, a.imag) if np.iscomplexobj(a) else (a,), [*range(a.ndim)]
+    return float(sum(np.einsum(p, ax, p, ax, []) for p in parts))
+
+
 def l2_norm(f) -> float:
     """Discrete L^2 norm of a Real/ComplexField."""
     g = f.grid
-    return float(np.sqrt(g.hx * g.hy * np.vdot(f.samples, f.samples).real))
+    return float(np.sqrt(g.hx * g.hy * sum_squares(f.samples)))
 
 
 def spectral_l2_norm(F: SpectralField) -> float:
     g = F.grid
-    return float(np.sqrt(g.Lx * g.Ly * np.sum(np.abs(F.coeffs) ** 2)))
+    return float(np.sqrt(g.Lx * g.Ly * sum_squares(F.coeffs)))
 
 
 def l2_inner(f, g) -> complex:
     """<f, g> = integral of f * conj(g)."""
     _check_same_grid(f, g)
-    return complex(f.grid.hx * f.grid.hy * np.sum(f.samples * np.conj(g.samples)))
+    return complex(f.grid.hx * f.grid.hy * np.einsum("ij,ij->", f.samples, np.conj(g.samples)))
 
 
 def sup_norm(f) -> float:

@@ -11,9 +11,19 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.fft import next_fast_len
 
+from . import __version__
 from .errors import ConfigError, DomainError, InvalidInputError
-from .evolution import SolverConfig, Trajectory, _schedule, evolve, load_config, snapshot_index
+from .evolution import (
+    SolverConfig,
+    Trajectory,
+    _schedule,
+    _Steps,
+    evolve,
+    load_config,
+    snapshot_index,
+)
 from .geometry import RayVelocity, resonant_triad
 from .grids import (
     Grid2D,
@@ -32,14 +42,6 @@ from .decompose import pointwise_profile
 from .packets import GammaSeries, PacketParams, _pair, gamma_dot_series
 from .scattering import DEFAULT_ALPHA, BandProjection, extract_scatter_data, scattering_residuals
 from .vfields import _Spectrum, derivative, x_norm
-
-
-def _toolkit_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("kpwave")
-    except Exception:
-        return "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +285,9 @@ def _diag_gamma(traj: Trajectory, params: dict, out: Path) -> None:
 
 
 def _diag_decompose(traj: Trajectory, params: dict, out: Path) -> None:
-    times = params.get("times") or [float(t) for t in traj.times if t >= 1]
     given = {k: v for k, v in params.items() if k != "times"}
     prows, srows = [], []
-    for t in times:
+    for t in params["times"]:
         prof = pointwise_profile(traj.field_at(t), t, **given)
         for r in prof.rows:
             prows.append((t, r.v_lo, r.v_hi,
@@ -311,10 +312,9 @@ def _diag_decompose(traj: Trajectory, params: dict, out: Path) -> None:
 
 
 def _diag_scatter(traj: Trajectory, params: dict, out: Path) -> None:
-    times = params.get("times") or [float(t) for t in traj.times[1:-1] if t >= 1]
     given = {k: v for k, v in params.items() if k != "times"}
     rows = []
-    for t in times:
+    for t in params["times"]:
         r = scattering_residuals(traj, t, **given)
         rows.append((r.t, r.umod_l2, r.scat_helper_residual,
                      r.modscat_residual, r.back_propagated_data_drift))
@@ -335,34 +335,53 @@ _DIAG_RUNNERS = {
 }
 
 
-def _check_diagnostic_times(cfg: ExperimentConfig, linear: bool) -> None:
-    """Refuse, before any evolution, a `decompose` or `scatter` time below 1
-    or not among the run's snapshot times, and a `scatter` time without a
-    snapshot on each side or whose band holds no grid x-frequency."""
+def _check_diagnostic_times(cfg: ExperimentConfig, linear: bool) -> list:
+    """Each diagnostic's times (None for a kind that takes none): as
+    given, or by default every snapshot time >= 1, for `scatter` every
+    interior one.  Refused before any evolution: a time below 1 or not among
+    the run's snapshot times, and a `scatter` time without a snapshot on each
+    side or whose previous snapshot is below 1 or has a band with no grid
+    x-frequency (the band widens with t, so it then holds one at t and at
+    the next snapshot)."""
     s = cfg.solver
     sched = _schedule(s, cfg.snapshot_times, linear)
+    if linear:  # the snapshots' indices stand in for steps
+        steps, at = _Steps(range(len(sched)), 0, len(sched) - 1), sched.__getitem__
+    else:
+        steps, at = sched[1], lambda i: s.t0 + i * s.dt
+
+    def index(t):  # the nearest lattice step, never a list of every snapshot step
+        if linear:
+            return snapshot_index(sched, t)
+        x = (t - s.t0) / s.dt
+        i = round(x) if math.isfinite(x) else -1
+        return i if i in steps and abs(at(i) - t) <= 1e-9 else None
+    resolved = []
     for ds in cfg.diagnostics:
-        for t in ds.params.get("times") or ():  # decompose and scatter take times
-            if linear:
-                i = snapshot_index(sched, t)
-                found, inner = i is not None, i is not None and 0 < i < len(sched) - 1
-            else:  # the nearest lattice step, never a list of every snapshot step
-                x, steps = (t - s.t0) / s.dt, sched[1]
-                i = round(x) if math.isfinite(x) else -1
-                found = i in steps and abs(s.t0 + i * s.dt - t) <= 1e-9
-                inner = found and steps.first < i < steps.last
-            if not found:
+        if "times" not in ds.PARAMS[ds.kind]:
+            resolved.append(None)
+            continue
+        times = ds.params.get("times") or [
+            float(at(i)) for i in sorted({*steps.every, steps.last} - {None})
+            if at(i) >= 1 and (ds.kind == "decompose" or steps.first < i < steps.last)]
+        for t in times:
+            i = index(t)
+            if i is None:
                 raise ConfigError(f"diagnostics.{ds.kind}.times: t={t} is not a snapshot time")
-            if ds.kind == "scatter" and not inner:
+            if ds.kind == "scatter" and not steps.first < i < steps.last:
                 raise ConfigError(
                     f"diagnostics.scatter.times: t={t} needs a snapshot on each side")
             if not t >= 1:  # the profile and the band are defined for t >= 1
                 raise ConfigError(f"diagnostics.{ds.kind}.times: t={t} is below 1")
             if ds.kind == "scatter":
+                prev = at(steps.before(i))
                 try:
-                    BandProjection(t, ds.params.get("alpha", DEFAULT_ALPHA)).rows(cfg.grid)
+                    BandProjection(prev, ds.params.get("alpha", DEFAULT_ALPHA)).rows(cfg.grid)
                 except (DomainError, InvalidInputError) as exc:
-                    raise ConfigError(f"diagnostics.scatter.times: t={t}: {exc}") from exc
+                    raise ConfigError(f"diagnostics.scatter.times: t={t}: at the snapshot "
+                                      f"before it, t={prev}: {exc}") from exc
+        resolved.append(list(times))
+    return resolved
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> Path:
@@ -370,7 +389,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> 
     requested diagnostic CSVs, and a provenance manifest.  Deterministic
     for a fixed config and seed."""
     linear = cfg.linear or cfg.initial.amplitude == 0
-    _check_diagnostic_times(cfg, linear)
+    times = _check_diagnostic_times(cfg, linear)
     out = Path(out_dir if out_dir is not None else (cfg.out_dir or "run_out"))
     out.mkdir(parents=True, exist_ok=True)
     config_text = cfg.to_json()
@@ -379,15 +398,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> 
     u0 = build_initial_data(cfg)
     traj = evolve(u0, cfg.solver, snapshot_times=cfg.snapshot_times, linear=linear)
 
-    for ds in cfg.diagnostics:
-        _DIAG_RUNNERS[ds.kind](traj, ds.params, out)
+    for ds, ts in zip(cfg.diagnostics, times):
+        _DIAG_RUNNERS[ds.kind](traj, ds.params if ts is None else {**ds.params, "times": ts}, out)
 
     if cfg.save_trajectory:
         traj.save(out / "trajectory")
 
     manifest = {
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
-        "toolkit_version": _toolkit_version(),
+        "toolkit_version": __version__,
         "linear": linear,
         "snapshot_times": [float(t) for t in traj.times],
     }
@@ -416,15 +435,17 @@ def bracketed_times(centers, h: float) -> tuple[float, ...]:
 def theorem_suite_configs(scale: float = 1.0) -> dict:
     """The canned experiments whose outputs feed the acceptance checks.
 
-    scale < 1 shrinks grids and horizons proportionally for smoke runs.
-    Stepping experiments end and take snapshots on their dt lattice.
+    scale < 1 shrinks grids and horizons proportionally for smoke runs, a
+    mode count rounded up to an even fast FFT length (twice a 5-smooth
+    number).  Stepping experiments end and take snapshots on their dt
+    lattice.
     """
     if not 0 < scale <= 1:
         raise ConfigError("scale must lie in (0, 1]")
 
     def n(v, lo=8):
         k = max(lo, int(v * scale))
-        return k if k % 2 == 0 else k + 1
+        return 2 * next_fast_len((k + 1) // 2, real=True)
 
     def on_lattice(t, dt):  # the step-lattice time k*dt nearest t
         return round(round(t / dt) * dt, 6)

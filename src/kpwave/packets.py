@@ -82,9 +82,9 @@ def build_packet(p: PacketParams, grid: Grid2D) -> ComplexField:
 
 
 def _pairing(ux: _Spectrum, psi_coeffs: np.ndarray) -> complex:
-    """The integral of u_x conj(psi), by Parseval on the full lattice."""
-    g = ux.grid
-    return complex(g.Lx * g.Ly * np.vdot(psi_coeffs, full_lattice(ux.coeffs, g.ny)))
+    """The integral of u_x conj(psi), by Parseval: conj(sum psi conj(u_x)) on the full lattice."""
+    g, full = ux.grid, full_lattice(ux.coeffs, ux.grid.ny)
+    return complex(g.Lx * g.Ly * np.einsum("ij,ij->", psi_coeffs, np.conj(full, out=full)).conj())
 
 
 def gamma(u: RealField, p: PacketParams, psi: ComplexField | None = None) -> complex:
@@ -157,32 +157,29 @@ def _point_value(S: _Spectrum, x: float, y: float) -> float:
     ey = np.exp(1j * g.eta[:c.shape[1]] * (y - g.y[0]))
     ex[g.nx // 2] = ex[g.nx // 2].real
     ey[1:-1] *= 2  # the interior columns stand for their mirrors too
-    return float((ex @ c @ ey).real)
+    return float(np.einsum("i,ij,j->", ex, c, ey).real)
 
 
-def _pair(ux: _Spectrum, p: PacketParams, gam: complex | None = None) -> tuple:
+def _pair(ux: _Spectrum, p: PacketParams) -> tuple:
     """(gamma, reconstruction error) from the spectrum of u_x: one
     transform for the packet, and u_x evaluated exactly at the ray point."""
     g, t = ux.grid, p.t
     x_ray, y_ray = p.vel.v1 * t, p.vel.v2 * t
     if abs(x_ray - g.x0) > g.Lx / 4 or abs(y_ray - g.y0) > g.Ly / 4:
         raise DomainError("ray point outside the trusted central half-box")
-    if gam is None:
-        gam = _pairing(ux, _packet_coeffs(p, g))
+    gam = _pairing(ux, _packet_coeffs(p, g))
     recon = 2.0 / t * (cmath.exp(1j * phase_phi(t, x_ray, y_ray)) * gam).real
     return gam, abs(_point_value(ux, x_ray, y_ray) - recon)
 
 
-def reconstruction_error(u: RealField, p: PacketParams,
-                         gam: complex | None = None) -> float:
+def reconstruction_error(u: RealField, p: PacketParams) -> float:
     """|u_x at the ray point - the packet reconstruction| at time t.
 
     The reconstruction is 2 t^{-1} Re(e^{i phi} gamma) at the ray point;
     u_x is evaluated there exactly, as the trigonometric polynomial its
-    spectrum defines.  Pass the pairing `gam = gamma(u, p)` when it is
-    already known.
+    spectrum defines.
     """
-    return _pair(_Spectrum.of(u).d(1), p, gam)[1]
+    return _pair(_Spectrum.of(u).d(1), p)[1]
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .grids import (
     l2_norm,
     samples_of,
     spectrum,
+    sum_squares,
     sup_norm,
 )
 
@@ -120,7 +121,7 @@ class _Spectrum:
 
     def l2(self) -> float:
         c, g = self.coeffs, self.grid
-        return math.sqrt(g.Lx * g.Ly * (np.vdot(c, c).real if c.shape == g.shape else half_l2_squared(c)))
+        return math.sqrt(g.Lx * g.Ly * (sum_squares(c) if c.shape == g.shape else half_l2_squared(c)))
 
     def field(self, samples=None):
         s = self.samples if samples is None else samples
@@ -155,15 +156,16 @@ def _central_half_box(grid) -> tuple[slice, slice]:
     return slice(ix[0], ix[-1] + 1), slice(iy[0], iy[-1] + 1)
 
 
+def _share_outside(s: np.ndarray, region) -> float:
+    """The share of sum |s|^2 outside s[region] (0 for the zero field); the
+    difference loses ~1e-16 of the total, far below either tolerance."""
+    total = sum_squares(s)
+    return max(total - sum_squares(s[region]), 0.0) / total if total else 0.0
+
+
 def leakage_fraction(field) -> float:
     """Fraction of L^2 mass outside the central half-box."""
-    s = field.samples
-    total = np.vdot(s, s).real
-    if total == 0:
-        return 0.0
-    inside = s[_central_half_box(field.grid)]
-    # the difference loses ~1e-16 of the total, far below LEAKAGE_TOL
-    return float(max(total - np.vdot(inside, inside).real, 0.0) / total)
+    return _share_outside(field.samples, _central_half_box(field.grid))
 
 
 def z_coordinate(grid, t: float) -> np.ndarray:
@@ -191,11 +193,9 @@ def _vector_field(vfid: VectorFieldId, S: _Spectrum) -> np.ndarray:
         return S.weighted(z_coordinate(g, t)) + S.inv(3 * t * _symbol(g, 2))
     if tag in ("LzPlus", "LzMinus"):
         z = z_coordinate(g, t)
-        total = np.sum(np.abs(S.samples) ** 2)
-        neg = np.sum(np.abs(S.samples[z < 0]) ** 2)
-        if total > 0 and neg / total > NEGATIVE_Z_MASS_TOL:
-            raise InvalidInputError(
-                f"mass fraction {neg/total:.3e} on {{z<0}}: {tag} undefined there")
+        neg = _share_outside(S.samples, z >= 0)
+        if neg > NEGATIVE_Z_MASS_TOL:
+            raise InvalidInputError(f"mass fraction {neg:.3e} on {{z<0}}: {tag} undefined there")
         sign = 1.0 if tag == "LzPlus" else -1.0
         return (S.weighted(np.sqrt(np.maximum(z, 0.0)))
                 + sign * 1j * math.sqrt(3 * t) * S.d(1).samples)
@@ -235,7 +235,7 @@ def x_norm(u, t: float) -> XNormReport:
 
 def _l4_norm(field) -> float:
     g = field.grid
-    return float((g.hx * g.hy * np.sum(np.abs(field.samples) ** 4)) ** 0.25)
+    return float((g.hx * g.hy * sum_squares(np.abs(field.samples) ** 2)) ** 0.25)
 
 
 def check_anisotropic_sobolev(f) -> float:

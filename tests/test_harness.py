@@ -1,6 +1,7 @@
 """Experiment configuration, run driver, power-law fits, and the suite."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -12,6 +13,7 @@ import pytest
 from kpwave.errors import ConfigError, InvalidInputError
 from kpwave.evolution import SolverConfig, evolve
 from kpwave.grids import Grid2D, RealField, is_projected, project_field, spectrum
+import kpwave
 from kpwave import harness
 from kpwave.harness import (
     DecayFit,
@@ -247,6 +249,25 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["linear"] is True
 
+    def test_manifest_records_the_package_version(self, tmp_path):
+        out = run_experiment(small_config(), tmp_path / "v")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["toolkit_version"] == kpwave.__version__
+
+    @pytest.mark.parametrize("params", [{"times": [1.2]}, {}])  # given, and the default
+    def test_scatter_after_a_snapshot_below_1_refused_before_evolving(
+            self, tmp_path, monkeypatch, params):
+        calls = []
+        monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(a))
+        cfg = small_config(grid=Grid2D(256, 32, 256.0, 32.0),
+                           solver=SolverConfig(dt=0.1, t0=0.0, t_end=2.0),
+                           snapshot_times=(0.0, 0.9, 1.2, 1.5, 2.0),
+                           diagnostics=(DiagnosticSpec("scatter", params),))
+        before = r"t=1\.2\d*: at the snapshot before it, t=0\.9\d*: band projection"
+        with pytest.raises(ConfigError, match=before):
+            run_experiment(cfg, tmp_path / "run")
+        assert calls == []
+
 
 class TestSeriesHelpers:
     def test_sup_norm_series(self):
@@ -282,6 +303,52 @@ class TestTheoremSuite:
         assert set(cfgs) == {"linear_decay", "conservation", "energy",
                              "profile", "packet", "scatter"}
         assert all(isinstance(c, ExperimentConfig) for c in cfgs.values())
+
+    SCALE_1_SHA256 = {  # of each scale-1 config.json text, which every canned output rests on
+        "linear_decay": "65e2a1a7b0cfdf8220510430843aa1cfef14fa97f5023c75b5a3f36b7886ca2b",
+        "conservation": "df80c7f728d59b4fd40bc25455cbbe31d835e5d9edc83a059c770e3491a190e8",
+        "energy": "b7204a8e2ffb6f96ed741b82759cecc0049c00118a186f68efdbf55b01528421",
+        "profile": "c1ea1fdde6911cc3b886d5e527ba43f70dbed99fe4cf766a12f4cf9536e50d2c",
+        "packet": "388bc323861c888713a92924b8af4ac215ce0529f23d59f769510597782e2bb2",
+        "scatter": "876c60d796758b3a083adffdf68c780ec9950cb83f0daab68a2607e0ac7c31b9",
+    }
+
+    def test_scale_1_config_texts_are_pinned(self):
+        assert {name: hashlib.sha256(cfg.to_json().encode()).hexdigest()
+                for name, cfg in theorem_suite_configs().items()} == self.SCALE_1_SHA256
+
+    @pytest.mark.parametrize("scale", [0.05, 0.1, 0.1234, 0.25, 0.37, 0.5, 0.75, 0.9, 1.0])
+    def test_scaled_mode_counts_are_even_fast_fft_lengths(self, scale):
+        full = theorem_suite_configs()
+        for name, cfg in theorem_suite_configs(scale).items():
+            for n, v in zip(cfg.grid.shape, full[name].grid.shape):
+                even = max(8, int(v * scale))
+                even += even % 2  # the count before fast lengths
+                m = n // 2
+                for p in (2, 3, 5):
+                    while m % p == 0:
+                        m //= p
+                assert n % 2 == 0 and m == 1 and n >= even, (name, n, even)
+
+    def test_canned_times_resolve_to_the_given_ones(self):
+        for name, cfg in theorem_suite_configs().items():
+            want = [ds.params["times"] if ds.kind in ("decompose", "scatter") else None
+                    for ds in cfg.diagnostics]
+            assert _check_diagnostic_times(cfg, cfg.linear) == want, name
+
+    @pytest.mark.parametrize("linear, t0, snaps", [(False, 0.0, (1.5, 2.0, 2.5, 3.0)),
+                                                   (True, 1.5, (2.0, 2.5)),
+                                                   (False, 0.0, None)])
+    def test_default_times_are_the_snapshot_times_from_1(self, linear, t0, snaps):
+        # decompose's: every snapshot time >= 1; scatter's: every interior one
+        kinds = ("decompose", "scatter") if snaps else ("decompose",)
+        cfg = small_config(grid=Grid2D(64, 32, 64.0, 20.0),
+                           solver=SolverConfig(dt=0.5, t0=t0, t_end=3.0), snapshot_times=snaps,
+                           diagnostics=tuple(DiagnosticSpec(k) for k in kinds))
+        times = evolve(build_initial_data(cfg), cfg.solver, snapshot_times=snaps,
+                       linear=linear).times
+        want = [[float(t) for t in times if t >= 1], [float(t) for t in times[1:-1] if t >= 1]]
+        assert _check_diagnostic_times(cfg, linear) == want[:len(kinds)]
 
     def test_scale_validation(self):
         with pytest.raises(ConfigError):
@@ -319,7 +386,7 @@ class TestTheoremSuite:
                                diagnostics=(DiagnosticSpec(kind, {"times": [t]}),))
             _check_diagnostic_times(cfg, False)
         tracemalloc.start()
-        check("scatter", 3.0)
+        check("scatter", 6.0)
         check("decompose", 5e5)  # the last step, off the stride
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
@@ -327,6 +394,8 @@ class TestTheoremSuite:
         for kind, t, match in (("decompose", 0.25, "not a snapshot time"),
                                ("decompose", 1.0, "not a snapshot time" if stride == 3 else None),
                                ("decompose", math.nan, "not a snapshot time"),
+                               # at stride 3 the snapshot before, t = 1.5, has an empty band
+                               ("scatter", 3.0, "no grid x-frequencies" if stride == 3 else None),
                                ("scatter", 0.0, "each side"),
                                ("scatter", 5e5, "each side")):
             if match is None:

@@ -23,6 +23,7 @@ from kpwave.harness import fit_decay
 from kpwave.packets import (
     GammaSeries,
     PacketParams,
+    _pair,
     _point_value,
     build_packet,
     gamma,
@@ -172,7 +173,7 @@ class TestGamma:
 
     def test_reconstruction_error_reuses_pairing(self, linear_run_t40):
         u, p = linear_run_t40, PacketParams(VEL, 40.0)
-        assert reconstruction_error(u, p, gamma(u, p)) == reconstruction_error(u, p)
+        assert _pair(_Spectrum.of(u).d(1), p) == (gamma(u, p), reconstruction_error(u, p))
 
     def test_uniform_bound_on_linear_solution(self, linear_run_t40):
         u = linear_run_t40

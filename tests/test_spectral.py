@@ -33,6 +33,7 @@ from kpwave.grids import (
     project_zero_xmodes,
     save_snapshot,
     spectral_l2_norm,
+    sum_squares,
     to_spectral,
 )
 from kpwave.harness import theorem_suite_configs
@@ -305,6 +306,13 @@ class TestParsevalProperty:
             f = random_field(grid, rng)
             a, b = l2_norm(f), spectral_l2_norm(forward_transform(f))
             assert abs(a - b) < 1e-12 * a
+
+
+    def test_sum_squares_on_every_layout_matches_the_pairwise_sum(self, rng):
+        c = rng.standard_normal((64, 33)) + 1j * rng.standard_normal((64, 33))
+        for a in (c, c.real, c.T, c[8:40, 3:20], c[:, [0, -1]], c[c.real > 0], c[::2, ::3]):
+            assert sum_squares(a) == pytest.approx(np.sum(np.abs(a) ** 2), rel=1e-14)
+        assert sum_squares(np.zeros((8, 8), complex)) == 0.0
 
 
 class TestSnapshotIO:
