@@ -60,6 +60,12 @@ def _cmd_resonances(args) -> None:
 
 
 def _cmd_fit_decay(args) -> None:
+    def number(r: dict, row: int, col: str) -> float:  # row 1 is the header
+        try:
+            return float(r[col])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{args.csv}: row {row}, column {col!r}: "
+                              f"{r[col]!r} is not a number") from None
     with open(args.csv, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -67,8 +73,8 @@ def _cmd_fit_decay(args) -> None:
         if args.tcol not in reader.fieldnames or args.vcol not in reader.fieldnames:
             raise ConfigError(
                 f"columns {args.tcol!r}/{args.vcol!r} not in {reader.fieldnames}")
-        series = [(float(r[args.tcol]), float(r[args.vcol]))
-                  for r in reader if r[args.vcol] != ""]
+        series = [(number(r, row, args.tcol), number(r, row, args.vcol))
+                  for row, r in enumerate(reader, start=2) if r[args.vcol] != ""]
     window = (args.tmin if args.tmin is not None else -math.inf,
               args.tmax if args.tmax is not None else math.inf)
     fit = fit_decay(series, window)

@@ -138,8 +138,7 @@ def _dyadic_coeffs(g, c: np.ndarray, delta: float):
     # other non-positive column must be empty
     bad = (g.xi <= 0)
     bad[g.nx // 2] = False
-    neg_mass = np.abs(c[bad]).max() if scale > 0 else 0.0
-    if scale > 0 and neg_mass > 1e-12 * scale:
+    if scale > 0 and np.abs(c[bad]).max() > 1e-12 * scale:
         raise InvalidInputError("input carries non-positive x-frequency content")
 
     abs_xi = np.abs(g.xi)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -115,19 +117,24 @@ class Trajectory:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        times = self.times
-        if np.any(np.diff(times) <= 0):
+        if np.any(np.diff(self.times) <= 0):
             raise InvalidInputError("snapshot times must be strictly increasing")
 
     @property
     def times(self) -> np.ndarray:
         return np.array([s.time_tag for s in self.snapshots])
 
-    def field_at(self, t: float, tol: float = 1e-9) -> RealField:
-        i = snapshot_index(self.times, t, tol)
-        if i is None:
+    def index(self, t: float, tol: float | None = None) -> int:
+        """The snapshot nearest t within `tol`, by default LATTICE_TOL steps of
+        dt (1e-9 without a config); `DomainError` if there is none."""
+        if tol is None:
+            tol = LATTICE_TOL * self.config.dt if self.config else 1e-9
+        if (i := snapshot_index(self.times, t, tol)) is None:
             raise DomainError(f"no snapshot at t={t}")
-        return self.snapshots[i]
+        return i
+
+    def field_at(self, t: float, tol: float | None = None) -> RealField:
+        return self.snapshots[self.index(t, tol)]
 
     def nearest_time(self, t: float) -> float:
         return float(self.times[snapshot_index(self.times, t, math.inf)])
@@ -156,7 +163,7 @@ class Trajectory:
         return cls(snaps, config, manifest.get("provenance", {}))
 
 
-def snapshot_index(times, t: float, tol: float = 1e-9) -> int | None:
+def snapshot_index(times, t: float, tol: float) -> int | None:
     """The index of the entry of `times` nearest t, or None beyond tol."""
     i = int(np.argmin(np.abs(np.asarray(times) - t)))
     return i if abs(times[i] - t) <= tol else None
@@ -182,51 +189,77 @@ def _linear_flow(coeffs: np.ndarray, grid: Grid2D, dt: float) -> np.ndarray:
 # snapshot scheduling and stepping
 
 @dataclass(frozen=True)
-class _Steps:
-    """A stepping run's snapshot step indices, from `first` to `last`, held
-    without listing them: the members of `every` (a range or a frozenset)
-    and `last`."""
+class _Schedule:
+    """A run's snapshot indices, never listed: the members of `steps` (a
+    range or a sorted tuple) capped at `last`, so the top member of a
+    default range, up to a stride past the last step, stands for it.  Index
+    i is the time t0 + i*dt of a stepping run of `last` steps, or `jump[i]`."""
 
-    every: range | frozenset
-    first: int | None  # None when there are none
-    last: int | None
+    t0: float
+    dt: float
+    last: int
+    steps: range | tuple
+    jump: tuple = ()
+
+    def _at(self, k: int) -> int | None:  # the k-th snapshot index, None past an end
+        return min(self.steps[k], self.last) if 0 <= k < len(self.steps) else None
 
     def __contains__(self, i: int) -> bool:
-        return i == self.last or i in self.every
+        return self._at(bisect_left(self.steps, i)) == i
 
-    def before(self, i: int) -> int | None:
-        """The snapshot step before step i, a range's found by arithmetic."""
-        if isinstance(self.every, range):
-            below = range(self.every.start, min(i, self.every.stop), self.every.step)
-            return below[-1] if below else None
-        return max((j for j in self.every if j < i), default=None)
+    def __iter__(self):
+        return (min(i, self.last) for i in self.steps)
+
+    def time(self, i: int) -> float:
+        return self.jump[i] if self.jump else self.t0 + i * self.dt
+
+    def index(self, t: float) -> int | None:
+        """The snapshot index t names, within LATTICE_TOL steps of dt, or None."""
+        if self.jump:
+            i = snapshot_index(self.jump, t, LATTICE_TOL * self.dt)
+        else:
+            x = (t - self.t0) / self.dt
+            i = round(x) if math.isfinite(x) and abs(x - round(x)) <= LATTICE_TOL else None
+        return i if i is not None and i in self else None
+
+    def around(self, i: int) -> tuple:
+        """The snapshot indices before and after snapshot i, None past an end."""
+        k = bisect_left(self.steps, i)
+        return self._at(k - 1), self._at(k + 1)
 
 
-def _schedule(cfg: SolverConfig, snapshot_times, linear: bool = False):
-    """The linear jump's sorted times (t0, t_end, the requested ones between)
-    or a stepping run's (steps, `_Steps`): by default every
-    `snapshot_stride` steps and the last, and a t_end or requested time off
-    the lattice t0 + i*dt or outside [t0, t_end] is refused."""
+def _schedule(cfg: SolverConfig, snapshot_times, linear: bool = False) -> _Schedule:
+    """A run's snapshots.  A stepping run's are by default every
+    `snapshot_stride` steps and the last; a t_end or requested time off the
+    lattice t0 + i*dt in [t0, t_end] is refused.  The linear jump's are t0,
+    t_end and the requested times in [t0, t_end], each merged into the one
+    before it or into t_end when it names that one."""
     if linear:
-        for t in snapshot_times or ():
-            if not cfg.t0 - 1e-12 <= t <= cfg.t_end + 1e-12:
+        tol, times = LATTICE_TOL * cfg.dt, [cfg.t0]
+        for t in sorted(snapshot_times or ()):
+            if not cfg.t0 - tol <= t <= cfg.t_end + tol:
                 raise InvalidInputError(f"snapshot time t={t} is outside [t0, t_end] "
                                         f"(t0={cfg.t0}, t_end={cfg.t_end})")
-        return sorted({cfg.t0, cfg.t_end, *(snapshot_times or ())})
+            if times[-1] + tol < t < cfg.t_end - tol:
+                times.append(t)
+        times.append(cfg.t_end)
+        return _Schedule(cfg.t0, cfg.dt, len(times) - 1, range(len(times)), tuple(times))
 
-    def step(t, what, last):
-        x = (t - cfg.t0) / cfg.dt
-        if not math.isfinite(x) or abs(x - round(x)) > LATTICE_TOL or not 0 <= round(x) <= last:
+    x = (cfg.t_end - cfg.t0) / cfg.dt
+    last = round(x) if x < sys.maxsize else -1  # a range's length must fit a C index
+    every_step = _Schedule(cfg.t0, cfg.dt, last, range(last + 1))
+
+    def step(t, what):
+        if (i := every_step.index(t)) is None:
             raise InvalidInputError(
                 f"{what} t={t} is off the step lattice t0 + i*dt in [t0, t_end] "
                 f"(t0={cfg.t0}, dt={cfg.dt}, t_end={cfg.t_end})")
-        return round(x)
+        return i
 
-    nsteps = step(cfg.t_end, "t_end", math.inf)
-    if snapshot_times is None:
-        return nsteps, _Steps(range(0, nsteps + 1, cfg.snapshot_stride), 0, nsteps)
-    steps = frozenset(step(t, "snapshot time", nsteps) for t in snapshot_times)
-    return nsteps, _Steps(steps, min(steps, default=None), max(steps, default=None))
+    nsteps, stride = step(cfg.t_end, "t_end"), cfg.snapshot_stride
+    return _Schedule(cfg.t0, cfg.dt, nsteps, range(0, nsteps + stride, stride)
+                     if snapshot_times is None else
+                     tuple(sorted({step(t, "snapshot time") for t in snapshot_times})))
 
 
 class _Workspace:
@@ -309,24 +342,23 @@ def _flux(grid: Grid2D, linearized: bool = False):
     return flux
 
 
-def _march(coeffs: np.ndarray, t0: float, dt: float, nsteps: int, snap_steps,
-           advance, record) -> list:
-    """The stepping loop: take `nsteps` steps of `advance` from the state
-    `coeffs` at t0, handing it a copy of a recorded snapshot's samples, and
-    return `record(state, t0 + i*dt)` at each index in `snap_steps`.  The
-    blow-up guard compares each step's L^2 norm with the previous one."""
+def _march(coeffs: np.ndarray, sched: _Schedule, advance, record) -> list:
+    """The stepping loop: take `sched.last` steps of `advance` from the
+    state `coeffs` at index 0, handing it a copy of a recorded snapshot's
+    samples, and return `record(state, t)` at each snapshot of `sched`.
+    The blow-up guard compares each step's L^2 norm with the previous one."""
     out, norm = [], half_l2_squared(coeffs)
-    for i in range(nsteps + 1):
-        if i in snap_steps:
-            out.append(record(coeffs, t0 + i * dt))
-        if i == nsteps:
+    for i in range(sched.last + 1):
+        t, snap = sched.time(i), i in sched
+        if snap:
+            out.append(record(coeffs, t))
+        if i == sched.last:
             return out
-        given = getattr(out[-1], "samples", None) if i in snap_steps else None
-        new = advance(coeffs, t0 + i * dt, None if given is None else given.copy())
+        new = advance(coeffs, t, out[-1].samples.copy() if snap else None)
         new_norm = half_l2_squared(new)
         if not new_norm <= BLOWUP_FACTOR**2 * max(norm, 1e-300):
             raise StepFailureError(
-                f"blow-up at step {i + 1} (t={t0 + (i + 1) * dt:.6g}): the L^2 norm "
+                f"blow-up at step {i + 1} (t={sched.time(i + 1):.6g}): the L^2 norm "
                 f"grew by a factor {math.sqrt(new_norm / max(norm, 1e-300)):.3g}")
         coeffs, norm = new, new_norm
 
@@ -345,8 +377,8 @@ def step_nonlinear(F: SpectralField, dt: float) -> SpectralField:
         raise InvalidInputError("field must be zero-x-mode projected")
     if not dt > 0:
         raise InvalidInputError("dt must be positive")
-    return _march(from_spectral(F), F.time_tag, dt, 1, [1], _Workspace(F.grid, dt).advance,
-                  lambda c, t: to_spectral(c, F.grid, t))[0]
+    return _march(from_spectral(F), _Schedule(F.time_tag, dt, 1, (1,)),
+                  _Workspace(F.grid, dt).advance, lambda c, t: to_spectral(c, F.grid, t))[0]
 
 
 class BackgroundInterpolator:
@@ -368,18 +400,14 @@ class BackgroundInterpolator:
     def samples_at(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """The samples at t, written into `out` if it is given."""
         ts = self.times
-        if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
+        if not self.covers(t, t):
             raise DomainError(f"background does not cover t={t}")
-        i = int(np.searchsorted(ts, t))
-        lo = max(0, min(i - 2, len(ts) - 4)) if len(ts) >= 4 else 0
+        lo = max(0, min(int(np.searchsorted(ts, t)) - 2, len(ts) - 4))
         idx = range(lo, min(lo + 4, len(ts)))
         out = np.empty(self.snaps[0].samples.shape) if out is None else out
         out.fill(0.0)
         for j in idx:
-            lj = 1.0
-            for m in idx:
-                if m != j:
-                    lj *= (t - ts[m]) / (ts[j] - ts[m])
+            lj = math.prod((t - ts[m]) / (ts[j] - ts[m]) for m in idx if m != j)
             out += lj * self.snaps[j].samples
         return out
 
@@ -391,32 +419,27 @@ def step_linearized(w: SpectralField, background: Trajectory, dt: float) -> Spec
     bg, t = BackgroundInterpolator(background), w.time_tag
     if not bg.covers(min(t, t + dt), max(t, t + dt)):
         raise DomainError("background trajectory does not cover the step")
-    return _march(from_spectral(w), t, dt, 1, [1], _Workspace(w.grid, dt, bg).advance,
-                  lambda c, s: to_spectral(c, w.grid, s))[0]
+    return _march(from_spectral(w), _Schedule(t, dt, 1, (1,)),
+                  _Workspace(w.grid, dt, bg).advance, lambda c, s: to_spectral(c, w.grid, s))[0]
 
 
 def evolve(u0: RealField, cfg: SolverConfig,
            snapshot_times: list[float] | None = None,
            linear: bool = False) -> Trajectory:
-    """Integrate from t0 to t_end, storing snapshots.
-
-    Snapshots are taken every `snapshot_stride` steps and at the last step
-    by default, or at `snapshot_times`, tagged t0 + i*dt.  Exact-time rule:
-    IFRK4 stepping takes whole steps, so t_end and each requested time must
-    be on the lattice t0 + i*dt within [t0, t_end], or `InvalidInputError`
-    is raised before the first step.  With `linear=True` the exact
-    propagator jumps to t0, t_end and any requested time in between; a
-    requested time outside [t0, t_end] raises `InvalidInputError`.
-    """
-    schedule = _schedule(cfg, snapshot_times, linear)
+    """Integrate from t0 to t_end, storing the snapshots of `_schedule`:
+    IFRK4 takes whole steps, by default recording every `snapshot_stride`
+    steps and the last, tagged t0 + i*dt; with `linear=True` the exact
+    propagator jumps to t0, t_end and each requested time between.  A time
+    that `_schedule` refuses raises `InvalidInputError` before any step."""
+    sched = _schedule(cfg, snapshot_times, linear)
     g = u0.grid
     if linear:
         coeffs = ingest(u0.samples)
         snaps = [RealField(g, samples_in_place(_linear_flow(coeffs, g, t - cfg.t0), g.ny), t)
-                 for t in schedule]
+                 for t in map(sched.time, sched)]
         return Trajectory(snaps, cfg, {"mode": "linear"})
     ws = _Workspace(g, cfg.dt)
-    snaps = _march(ingest(u0.samples), cfg.t0, cfg.dt, *schedule, ws.advance,
+    snaps = _march(ingest(u0.samples), sched, ws.advance,
                    lambda c, t: RealField(g, samples_of(c, g.shape), t))
     return Trajectory(snaps, cfg, {"mode": "nonlinear"})
 
@@ -425,12 +448,12 @@ def evolve_linearized(w0: RealField, background: Trajectory, cfg: SolverConfig,
                       snapshot_times: list[float] | None = None) -> Trajectory:
     """Integrate the linearized equation along a stored background, under
     the exact-time rule of `evolve`; the background must cover [t0, t_end]."""
-    schedule = _schedule(cfg, snapshot_times)
+    sched = _schedule(cfg, snapshot_times)
     bg = BackgroundInterpolator(background)
     if not bg.covers(cfg.t0, cfg.t_end):
         raise DomainError("background trajectory does not cover [t0, t_end]")
     ws = _Workspace(w0.grid, cfg.dt, bg)
-    snaps = _march(ingest(w0.samples), cfg.t0, cfg.dt, *schedule, ws.advance,
+    snaps = _march(ingest(w0.samples), sched, ws.advance,
                    lambda c, t: RealField(ws.grid, samples_of(c, ws.grid.shape), t))
     return Trajectory(snaps, cfg, {"mode": "linearized"})
 

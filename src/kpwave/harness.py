@@ -15,15 +15,7 @@ from scipy.fft import next_fast_len
 
 from . import __version__
 from .errors import ConfigError, DomainError, InvalidInputError
-from .evolution import (
-    SolverConfig,
-    Trajectory,
-    _schedule,
-    _Steps,
-    evolve,
-    load_config,
-    snapshot_index,
-)
+from .evolution import SolverConfig, Trajectory, _schedule, evolve, load_config
 from .geometry import RayVelocity, resonant_triad
 from .grids import (
     Grid2D,
@@ -221,11 +213,8 @@ def sup_norm_series(traj: Trajectory, quantity: str = "u") -> list:
     """Per-snapshot sup of u or of its spectral x-derivative."""
     if quantity not in ("u", "u_x"):
         raise InvalidInputError(f"unknown quantity {quantity!r}")
-    out = []
-    for s in traj.snapshots:
-        f = s if quantity == "u" else derivative(s, dx_order=1)
-        out.append((float(s.time_tag), sup_norm(f)))
-    return out
+    return [(float(s.time_tag), sup_norm(s if quantity == "u" else derivative(s, dx_order=1)))
+            for s in traj.snapshots]
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +245,8 @@ def _diag_norms(traj: Trajectory, params: dict, out: Path) -> None:
 
 
 def _diag_sup(traj: Trajectory, params: dict, out: Path) -> None:
-    su = dict(sup_norm_series(traj, "u"))
-    sx = dict(sup_norm_series(traj, "u_x"))
-    rows = [(t, su[t], sx[t]) for t in sorted(su)]
+    rows = [(t, su, sx) for (t, su), (_, sx) in
+            zip(sup_norm_series(traj, "u"), sup_norm_series(traj, "u_x"))]
     _write_csv(out / "sup.csv", ["t[code-units]", "sup_u", "sup_ux"], rows)
 
 
@@ -284,28 +272,23 @@ def _diag_gamma(traj: Trajectory, params: dict, out: Path) -> None:
                 "abs_gamma", "abs_gamma_dot", "recon_error"], rows)
 
 
+_PROFILE_COLUMNS = ("v_lo", "v_hi", *(f"{q}_{part}" for part in ("hyp", "hyp_x", "ell", "ell_x")
+                                      for q in ("sup", "bound", "ratio")))
+
+
 def _diag_decompose(traj: Trajectory, params: dict, out: Path) -> None:
     given = {k: v for k, v in params.items() if k != "times"}
     prows, srows = [], []
     for t in params["times"]:
         prof = pointwise_profile(traj.field_at(t), t, **given)
         for r in prof.rows:
-            prows.append((t, r.v_lo, r.v_hi,
-                          r.sup_hyp, r.bound_hyp, r.ratio_hyp,
-                          r.sup_hyp_x, r.bound_hyp_x, r.ratio_hyp_x,
-                          r.sup_ell, r.bound_ell, r.ratio_ell,
-                          r.sup_ell_x, r.bound_ell_x, r.ratio_ell_x))
+            prows.append((t, *(getattr(r, c) for c in _PROFILE_COLUMNS)))
         for lr in prof.lambda_rows:
             srows.append((t, lr.lam, lr.lz_hyp, lr.lz_hyp_rhs,
                           lr.ell_weighted, lr.ell_rhs))
         srows.append((t, 0.0, prof.hyp_weighted, prof.hyp_weighted_rhs,
                       prof.ell_third, prof.ell_third_rhs))
-    _write_csv(out / "profile.csv",
-               ["t[code-units]", "v_lo", "v_hi",
-                "sup_hyp", "bound_hyp", "ratio_hyp",
-                "sup_hyp_x", "bound_hyp_x", "ratio_hyp_x",
-                "sup_ell", "bound_ell", "ratio_ell",
-                "sup_ell_x", "bound_ell_x", "ratio_ell_x"], prows)
+    _write_csv(out / "profile.csv", ["t[code-units]", *_PROFILE_COLUMNS], prows)
     _write_csv(out / "scales.csv",
                ["t[code-units]", "lambda", "lhs_hyp", "rhs_hyp",
                 "lhs_ell", "rhs_ell"], srows)
@@ -336,50 +319,39 @@ _DIAG_RUNNERS = {
 
 
 def _check_diagnostic_times(cfg: ExperimentConfig, linear: bool) -> list:
-    """Each diagnostic's times (None for a kind that takes none): as
-    given, or by default every snapshot time >= 1, for `scatter` every
-    interior one.  Refused before any evolution: a time below 1 or not among
-    the run's snapshot times, and a `scatter` time without a snapshot on each
-    side or whose previous snapshot is below 1 or has a band with no grid
-    x-frequency (the band widens with t, so it then holds one at t and at
-    the next snapshot)."""
-    s = cfg.solver
-    sched = _schedule(s, cfg.snapshot_times, linear)
-    if linear:  # the snapshots' indices stand in for steps
-        steps, at = _Steps(range(len(sched)), 0, len(sched) - 1), sched.__getitem__
-    else:
-        steps, at = sched[1], lambda i: s.t0 + i * s.dt
-
-    def index(t):  # the nearest lattice step, never a list of every snapshot step
-        if linear:
-            return snapshot_index(sched, t)
-        x = (t - s.t0) / s.dt
-        i = round(x) if math.isfinite(x) else -1
-        return i if i in steps and abs(at(i) - t) <= 1e-9 else None
+    """Each diagnostic's times (None for a kind that takes none): as given,
+    or by default every snapshot time >= 1, for `scatter` every interior
+    one.  Refused before any evolution: a time below 1 or not a snapshot
+    time, and a `scatter` time without a snapshot on each side or where the
+    band at it or at either of those snapshots is below 1, is empty or has
+    its quadratic product reach below twice its lower edge."""
+    sched = _schedule(cfg.solver, cfg.snapshot_times, linear)
     resolved = []
     for ds in cfg.diagnostics:
         if "times" not in ds.PARAMS[ds.kind]:
             resolved.append(None)
             continue
         times = ds.params.get("times") or [
-            float(at(i)) for i in sorted({*steps.every, steps.last} - {None})
-            if at(i) >= 1 and (ds.kind == "decompose" or steps.first < i < steps.last)]
+            float(sched.time(i)) for i in sched if sched.time(i) >= 1
+            and (ds.kind == "decompose" or None not in sched.around(i))]
         for t in times:
-            i = index(t)
+            i = sched.index(t)
             if i is None:
                 raise ConfigError(f"diagnostics.{ds.kind}.times: t={t} is not a snapshot time")
-            if ds.kind == "scatter" and not steps.first < i < steps.last:
+            if ds.kind == "scatter" and None in sched.around(i):
                 raise ConfigError(
                     f"diagnostics.scatter.times: t={t} needs a snapshot on each side")
             if not t >= 1:  # the profile and the band are defined for t >= 1
                 raise ConfigError(f"diagnostics.{ds.kind}.times: t={t} is below 1")
-            if ds.kind == "scatter":
-                prev = at(steps.before(i))
-                try:
-                    BandProjection(prev, ds.params.get("alpha", DEFAULT_ALPHA)).rows(cfg.grid)
-                except (DomainError, InvalidInputError) as exc:
-                    raise ConfigError(f"diagnostics.scatter.times: t={t}: at the snapshot "
-                                      f"before it, t={prev}: {exc}") from exc
+            if ds.kind == "scatter":  # the bands `scattering_residuals` builds
+                alpha, (prev, after) = ds.params.get("alpha", DEFAULT_ALPHA), sched.around(i)
+                for where, tj in (("the snapshot before it", sched.time(prev)), ("that time", t),
+                                  ("the snapshot after it", sched.time(after))):
+                    try:
+                        BandProjection(tj, alpha).check_product(cfg.grid)
+                    except (DomainError, InvalidInputError) as exc:
+                        raise ConfigError(f"diagnostics.scatter.times: t={t}: "
+                                          f"at {where}, t={tj}: {exc}") from exc
         resolved.append(list(times))
     return resolved
 
@@ -426,10 +398,7 @@ def log_times(t0: float, t1: float, per_octave: int = 8) -> tuple[float, ...]:
 
 def bracketed_times(centers, h: float) -> tuple[float, ...]:
     """Each center plus tight +-h neighbors, for time differencing."""
-    out = set()
-    for c in centers:
-        out.update((round(c - h, 6), round(c, 6), round(c + h, 6)))
-    return tuple(sorted(out))
+    return tuple(sorted({round(c + d, 6) for c in centers for d in (-h, 0.0, h)}))
 
 
 def theorem_suite_configs(scale: float = 1.0) -> dict:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .evolution import Trajectory, _linear_flow, snapshot_index
+from .evolution import Trajectory, _linear_flow
 from .decompose import _plus_coeffs
 from .grids import (
     ComplexField,
@@ -56,6 +56,13 @@ class BandProjection:
                 f"band [{self.lower:.3g}, {self.upper:.3g}] contains no grid x-frequencies")
         return in_band
 
+    def check_product(self, grid) -> None:
+        """Refuse a band whose quadratic product reaches below 2*lower, as
+        `_umod` would for any data: row sums k1 + k2 past the x-Nyquist row
+        wrap to k1 + k2 - nx."""
+        abs_xi = np.abs(grid.xi[self.rows(grid)])
+        _check_floor(2 * min(abs_xi.min(), np.abs(grid.xi).max() - abs_xi.max()), self.lower)
+
 
 @dataclass(frozen=True)
 class ScatterReport:
@@ -90,18 +97,12 @@ def band_project(u: RealField, bp: BandProjection) -> tuple[RealField, ComplexFi
     return RealField(g, samples_of(W, g.shape), u.time_tag), w_plus
 
 
-def _min_positive_content(coeffs: np.ndarray, grid) -> float:
-    """Smallest |xi| carrying non-negligible coefficient mass, from a real
-    field's half spectrum (rows xi and -xi hold the full lattice's)."""
-    amp = np.abs(coeffs).max(axis=1)
-    scale = amp.max()
-    if scale == 0:
-        return np.inf
-    live = amp > _CONTENT_TOL * scale
-    live[0] = False
-    if not np.any(live):
-        return np.inf
-    return float(np.abs(grid.xi[live]).min())
+def _check_floor(low: float, lower: float) -> None:
+    """Refuse (`InvalidInputError`) a quadratic product whose lowest |xi|,
+    `low`, is below 2*lower: dx^{-3} of it is defined from there up."""
+    if low < 2 * lower * (1 - 1e-9):
+        raise InvalidInputError(f"quadratic product has content at |xi|={low:.3g} "
+                                f"below 2*lower={2*lower:.3g}")
 
 
 def _umod(w_plus: _Spectrum, lower: float) -> tuple[np.ndarray, np.ndarray]:
@@ -110,12 +111,10 @@ def _umod(w_plus: _Spectrum, lower: float) -> tuple[np.ndarray, np.ndarray]:
     g = w_plus.grid
     q = (w_plus.samples * w_plus.d(1).samples).real
     Fq = spectrum(q)
-    if np.abs(Fq).max() > 0:
-        low_content = _min_positive_content(Fq, g)
-        if low_content < 2 * lower * (1 - 1e-9):
-            raise InvalidInputError(
-                f"quadratic product has content at |xi|={low_content:.3g} "
-                f"below 2*lower={2*lower:.3g}")
+    amp = np.abs(Fq).max(axis=1)  # per row; a half spectrum's rows hold both signs of xi
+    live = amp > _CONTENT_TOL * amp.max()
+    live[0] = False
+    _check_floor(np.abs(g.xi[live]).min(initial=np.inf), lower)  # the lowest |xi| with content
     return q, (8.0 / 3.0) * _symbol(g, -3) * Fq
 
 
@@ -142,9 +141,7 @@ def scattering_residuals(traj: Trajectory, t: float,
     moving band edges are accounted for automatically.
     """
     times = traj.times
-    idx = snapshot_index(times, t)
-    if idx is None:
-        raise DomainError(f"no snapshot at t={t}")
+    idx = traj.index(t)
     if idx == 0 or idx == len(times) - 1:
         raise InvalidInputError("need snapshots bracketing t on both sides")
     u = traj.snapshots[idx]

@@ -130,6 +130,20 @@ class TestFitDecay:
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("row, col, text", [(3, "v", "2.0,abc"), (2, "t[code-units]", "x,1.0"),
+                                                (3, "v", "2.0")])
+    def test_cell_that_is_not_a_number(self, capsys, tmp_path, row, col, text):
+        # a word, or a short row's missing cell
+        path = tmp_path / "bad.csv"
+        lines = ["t[code-units],v", "1.0,1.0", "2.0,0.5"]
+        lines[row - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "fit-decay", str(path), "--vcol", "v")
+        assert code == 2
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert error["message"].startswith(f"{path}: row {row}, column {col!r}: ")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "fit-decay",
                                str(tmp_path / "nope.csv"), "--vcol", "v")
@@ -146,10 +160,11 @@ class TestTheoremSuite:
         results = json.loads(out)
         assert set(results) == {"conservation", "resonances"}
 
-    @pytest.mark.parametrize("scale", ["0.05", "0.1", "0.25"])
+    @pytest.mark.parametrize("scale", ["0.05", "0.1", "0.25", "0.37", "0.5"])
     def test_scatter_refused_before_evolving(self, capsys, tmp_path, scale):
-        # the first scatter time is below 1 (0.05) or its band holds no grid
-        # x-frequency (0.1, 0.25)
+        # the first scatter time is below 1 (0.05), its band holds no grid
+        # x-frequency (0.1, 0.25), or its quadratic product wraps below twice
+        # the band's lower edge (0.37, 0.5)
         code, _, err = run_cli(capsys, "--out", str(tmp_path / "suite"),
                                "theorem-suite", "--scale", scale, "--only", "scatter")
         assert code == 2

@@ -173,25 +173,33 @@ class TestExactTimes:
     @pytest.mark.parametrize("nsteps, stride", [(10, 1), (10, 3), (9, 3), (1, 5)])
     def test_default_snapshot_steps(self, nsteps, stride):
         cfg = SolverConfig(dt=0.5, t0=1.0, t_end=1.0 + 0.5 * nsteps, snapshot_stride=stride)
-        n, steps = _schedule(cfg, None)
-        assert n == nsteps
-        assert ([i for i in range(n + 1) if i in steps]
-                == sorted({*range(0, n + 1, stride), n}))
+        sched = _schedule(cfg, None)
+        assert sched.last == nsteps
+        assert ([i for i in range(nsteps + 1) if i in sched]
+                == list(sched) == sorted({*range(0, nsteps + 1, stride), nsteps}))
 
     def test_default_snapshot_steps_are_not_listed(self):
         cfg = SolverConfig(dt=1.0, t0=0.0, t_end=1e6, snapshot_stride=7)
         tracemalloc.start()
-        nsteps, steps = _schedule(cfg, None)
+        sched = _schedule(cfg, None)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert nsteps == 10**6 and peak < 2**20
-        assert all(i in steps for i in (0, 7, 999_999, 10**6))
-        assert 8 not in steps and 10**6 + 7 not in steps
+        assert sched.last == 10**6 and peak < 2**20
+        assert all(i in sched for i in (0, 7, 999_999, 10**6))
+        assert 8 not in sched and 10**6 + 7 not in sched
 
     def test_linear_jump_takes_any_time(self, grid):
         u0 = gaussian_field(grid, amp=0.05, sx=2.0, sy=2.0, kx=1.0)
         traj = evolve(u0, SolverConfig(dt=0.03, t0=0.0, t_end=1.0), [0.5], linear=True)
         assert list(traj.times) == [0.0, 0.5, 1.0]
+
+    def test_linear_jump_names_t_end_within_the_tolerance(self, grid):
+        # 5e-13 is 5e-12 steps of dt past t_end: that time names t_end
+        u0 = gaussian_field(grid, amp=0.05, sx=2.0, sy=2.0, kx=1.0)
+        traj = evolve(u0, SolverConfig(dt=0.1, t0=0.0, t_end=5.0), [5.0 + 5e-13, 2.0],
+                      linear=True)
+        assert list(traj.times) == [0.0, 2.0, 5.0]
+        assert traj.field_at(5.0 + 5e-13) is traj.snapshots[-1]
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_non_finite_snapshot_time_refused(self, grid, t):

@@ -358,9 +358,11 @@ class TestTheoremSuite:
 
     @pytest.mark.parametrize("scale", [1.0, 0.37, 0.1234, 0.05])
     def test_stepping_times_on_lattice(self, scale):
-        # the scatter band of the first time holds no grid x-frequency, or
-        # that time is below 1
-        scatter_refusal = {0.1234: "no grid x-frequencies", 0.05: "below 1"}.get(scale)
+        # the scatter band of the first time wraps its quadratic product
+        # below twice its lower edge, holds no grid x-frequency, or that
+        # time is below 1
+        scatter_refusal = {0.37: "below 2\\*lower", 0.1234: "no grid x-frequencies",
+                           0.05: "below 1"}.get(scale)
         for name, cfg in theorem_suite_configs(scale).items():
             if name == "scatter" and scatter_refusal:
                 with pytest.raises(ConfigError, match=scatter_refusal):
@@ -406,6 +408,39 @@ class TestTheoremSuite:
         with pytest.raises(ConfigError, match="not a snapshot time"):
             _check_diagnostic_times(small_config(snapshot_times=(), diagnostics=(
                 DiagnosticSpec("scatter", {"times": [0.5]}),)), False)
+
+    def test_a_time_names_its_snapshot_under_one_tolerance(self):
+        # 5e-10 steps of dt = 100 off the lattice: the schedule, the check
+        # and the trajectory's lookup all name step 1
+        t, solver = 100.00000005, SolverConfig(dt=100.0, t0=0.0, t_end=300.0)
+        cfg = small_config(solver=solver, snapshot_times=(0.0, t, 300.0),
+                           diagnostics=(DiagnosticSpec("decompose", {"times": [t]}),))
+        assert _check_diagnostic_times(cfg, False) == [[t]]
+        traj = evolve(RealField(cfg.grid, np.zeros(cfg.grid.shape), 0.0), solver,
+                      snapshot_times=cfg.snapshot_times)
+        assert list(traj.times) == [0.0, 100.0, 300.0]
+        assert traj.field_at(t) is traj.snapshots[1]
+
+    @pytest.mark.parametrize("scale", [0.05, 0.1, 0.1234, 0.25, 0.37, 0.5, 0.75, 0.9, 1.0])
+    def test_scatter_band_products_stay_above_twice_the_lower_edge(self, scale):
+        # the canned scatter config is refused, or at each time it reads (every
+        # scatter time and the snapshots on each side) the sums k1 + k2 of the
+        # band's positive rows, wrapped onto the x lattice, keep |xi| >= 2*lower
+        cfg = theorem_suite_configs(scale)["scatter"]
+        try:
+            (times,) = _check_diagnostic_times(cfg, cfg.linear)
+        except ConfigError:
+            return
+        g, snaps = cfg.grid, sorted(cfg.snapshot_times)
+        k = np.abs(np.rint(g.xi * g.Lx / (2 * np.pi)).astype(int))
+        for t in times:
+            j = snaps.index(t)
+            for tj in snaps[j - 1:j + 2]:
+                lower, upper = tj ** (-1 / 12), tj ** (1 / 12)
+                rows = k[(np.abs(g.xi) >= lower) & (np.abs(g.xi) <= upper) & (k > 0)]
+                sums = (rows[:, None] + rows[None, :] + g.nx // 2) % g.nx - g.nx // 2
+                low = np.abs(sums).min() * 2 * np.pi / g.Lx
+                assert low >= 2 * lower * (1 - 1e-9), (scale, t, tj, low)
 
     def test_smoke_run(self, tmp_path):
         results = run_theorem_suite(tmp_path, scale=0.05, only=["conservation"])
