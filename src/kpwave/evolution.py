@@ -71,11 +71,19 @@ class SolverConfig:
             raise InvalidInputError("snapshot_stride must be >= 1")
 
 
+def _is_a(hint: type, v) -> bool:
+    """Whether v is a JSON leaf of type `hint` (bool, int, float or str): a
+    bool is no number, and a float may be given as an int."""
+    return isinstance(v, (int, float) if hint is float else hint) and (
+        hint is bool or not isinstance(v, bool))
+
+
 def load_config(hint, v, error: type[Exception], path: str = ""):
     """Build a `hint` (a config dataclass at the top) from `v`, the JSON form
     `asdict` gave it, with the dataclasses' own fields, type hints and
-    defaults.  An unknown or missing key, a value of the wrong shape, or one
-    a dataclass refuses raises `error` naming its dotted path."""
+    defaults.  An unknown or missing key, a value of the wrong shape or leaf
+    type (`_is_a`), or one a dataclass refuses raises `error` naming its
+    dotted path."""
     args, where = get_args(hint), path or hint.__name__
     if type(None) in args:  # X | None
         if v is None:
@@ -91,6 +99,8 @@ def load_config(hint, v, error: type[Exception], path: str = ""):
             raise error(f"{where}: expected {len(items)} entries, got {len(v)}")
         return tuple(load_config(h, x, error, f"{path}[{i}]")
                      for i, (h, x) in enumerate(zip(items, v)))
+    if hint in (bool, int, float, str) and not _is_a(hint, v):
+        raise error(f"{where}: expected {hint.__name__}, got {v!r}")
     if not is_dataclass(hint):
         return v
     unknown = sorted(set(v) - {f.name for f in fields(hint)})
@@ -246,8 +256,10 @@ def _schedule(cfg: SolverConfig, snapshot_times, linear: bool = False) -> _Sched
         return _Schedule(cfg.t0, cfg.dt, len(times) - 1, range(len(times)), tuple(times))
 
     x = (cfg.t_end - cfg.t0) / cfg.dt
-    last = round(x) if x < sys.maxsize else -1  # a range's length must fit a C index
-    every_step = _Schedule(cfg.t0, cfg.dt, last, range(last + 1))
+    if not x < sys.maxsize:  # a range's length must fit a C index
+        raise InvalidInputError(f"the run from t0={cfg.t0} to t_end={cfg.t_end} takes {x:.6g} "
+                                f"steps of dt={cfg.dt}, more than a step index holds")
+    every_step = _Schedule(cfg.t0, cfg.dt, round(x), range(round(x) + 1))
 
     def step(t, what):
         if (i := every_step.index(t)) is None:

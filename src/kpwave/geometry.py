@@ -31,6 +31,10 @@ class RayVelocity:
     def is_admissible(self) -> bool:
         return self.v > 0
 
+    def valid_at(self, t: float) -> bool:
+        """Whether a packet on the ray is valid at t: t > 0 and v >= t^(-2/3)."""
+        return t > 0 and self.v >= t ** (-2.0 / 3.0)
+
 
 def ray_frequency(vel: RayVelocity) -> tuple[float, float]:
     """Frequency (xi_v, eta_v) carried along the ray; positive-xi branch."""

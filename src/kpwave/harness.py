@@ -15,7 +15,7 @@ from scipy.fft import next_fast_len
 
 from . import __version__
 from .errors import ConfigError, DomainError, InvalidInputError
-from .evolution import SolverConfig, Trajectory, _schedule, evolve, load_config
+from .evolution import SolverConfig, Trajectory, _is_a, _schedule, evolve, load_config
 from .geometry import RayVelocity, resonant_triad
 from .grids import (
     Grid2D,
@@ -31,8 +31,8 @@ from .grids import (
     sup_norm,
 )
 from .decompose import pointwise_profile
-from .packets import GammaSeries, PacketParams, _pair, gamma_dot_series
-from .scattering import DEFAULT_ALPHA, BandProjection, extract_scatter_data, scattering_residuals
+from .packets import GammaSeries, PacketParams, _pair, _ray_point, gamma_dot_series
+from .scattering import BandProjection, extract_scatter_data, scattering_residuals
 from .vfields import _Spectrum, derivative, x_norm
 
 
@@ -86,13 +86,14 @@ class InitialSpec:
 
 @dataclass(frozen=True)
 class DiagnosticSpec:
-    """One requested diagnostic: kind plus its parameters."""
+    """One requested diagnostic: kind plus the parameters it sets."""
 
     kind: str
     params: dict = field(default_factory=dict)
 
-    PARAMS = {"norms": (), "sup": (), "gamma": ("rays", "t_min"),
-              "decompose": ("times", "delta", "width"), "scatter": ("times", "alpha")}
+    # each kind's parameters and their defaults; times None are resolved from the schedule
+    PARAMS = {"norms": {}, "sup": {}, "gamma": {"rays": ((-3.0, 0.0),), "t_min": 1.0},
+              "decompose": {"times": None}, "scatter": {"times": None}}
     KINDS = tuple(PARAMS)
 
     def __post_init__(self):
@@ -102,11 +103,13 @@ class DiagnosticSpec:
         if unknown:
             raise ConfigError(f"diagnostics.{self.kind}: unknown parameter(s) {unknown}")
         if self.kind == "gamma":
-            for ray in self.params.get("rays", []):
-                vel = RayVelocity(*ray)
-                if not vel.is_admissible:
-                    raise ConfigError(
-                        f"diagnostics.gamma.rays: ray {tuple(ray)} has v <= 0")
+            for ray in self.settings["rays"]:
+                if not RayVelocity(*ray).is_admissible:
+                    raise ConfigError(f"diagnostics.gamma.rays: ray {tuple(ray)} has v <= 0")
+
+    @property
+    def settings(self) -> dict:  # every parameter of the kind: as given, or its default
+        return {**self.PARAMS[self.kind], **self.params}
 
 
 @dataclass(frozen=True)
@@ -200,6 +203,8 @@ def fit_decay(series, window: tuple[float, float]) -> DecayFit:
             f"need >= 5 points in window {window}, got {len(pts)}")
     if any(v <= 0 for _, v in pts):
         raise InvalidInputError("power-law fit requires positive values")
+    if (t := min(t for t, _ in pts)) <= 0:
+        raise InvalidInputError(f"power-law fit requires positive times, got t={t}")
     lt = np.log([t for t, _ in pts])
     lv = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(lt, lv, 1)
@@ -251,12 +256,11 @@ def _diag_sup(traj: Trajectory, params: dict, out: Path) -> None:
 
 
 def _diag_gamma(traj: Trajectory, params: dict, out: Path) -> None:
-    rays = [RayVelocity(*r) for r in params.get("rays", [(-3.0, 0.0)])]
-    t_min = params.get("t_min", 1.0)
+    rays = [RayVelocity(*r) for r in params["rays"]]
     samples = [[] for _ in rays]
     for s in traj.snapshots:
         t = float(s.time_tag)
-        live = [i for i, vel in enumerate(rays) if t >= t_min and vel.v >= t ** (-2.0 / 3.0)]
+        live = [i for i, vel in enumerate(rays) if t >= params["t_min"] and vel.valid_at(t)]
         ux = _Spectrum.of(s).d(1) if live else None  # one spectrum serves every ray
         for i in live:
             samples[i].append((t, *_pair(ux, PacketParams(rays[i], t))))
@@ -277,10 +281,9 @@ _PROFILE_COLUMNS = ("v_lo", "v_hi", *(f"{q}_{part}" for part in ("hyp", "hyp_x",
 
 
 def _diag_decompose(traj: Trajectory, params: dict, out: Path) -> None:
-    given = {k: v for k, v in params.items() if k != "times"}
     prows, srows = [], []
     for t in params["times"]:
-        prof = pointwise_profile(traj.field_at(t), t, **given)
+        prof = pointwise_profile(traj.field_at(t), t)
         for r in prof.rows:
             prows.append((t, *(getattr(r, c) for c in _PROFILE_COLUMNS)))
         for lr in prof.lambda_rows:
@@ -295,10 +298,9 @@ def _diag_decompose(traj: Trajectory, params: dict, out: Path) -> None:
 
 
 def _diag_scatter(traj: Trajectory, params: dict, out: Path) -> None:
-    given = {k: v for k, v in params.items() if k != "times"}
     rows = []
     for t in params["times"]:
-        r = scattering_residuals(traj, t, **given)
+        r = scattering_residuals(traj, t)
         rows.append((r.t, r.umod_l2, r.scat_helper_residual,
                      r.modscat_residual, r.back_propagated_data_drift))
     _write_csv(out / "scatter.csv",
@@ -318,41 +320,61 @@ _DIAG_RUNNERS = {
 }
 
 
-def _check_diagnostic_times(cfg: ExperimentConfig, linear: bool) -> list:
-    """Each diagnostic's times (None for a kind that takes none): as given,
-    or by default every snapshot time >= 1, for `scatter` every interior
-    one.  Refused before any evolution: a time below 1 or not a snapshot
+def _check_rays(grid: Grid2D, sched, rays, t_min) -> None:
+    """Refuse a `t_min` that is not a finite number, and a ray whose point
+    leaves the trusted central half-box at a snapshot `_diag_gamma` samples."""
+    if not (_is_a(float, t_min) and math.isfinite(t_min)):
+        raise ConfigError(f"diagnostics.gamma.t_min: expected a finite number, got {t_min!r}")
+    for vel in [RayVelocity(*r) for r in rays]:
+        for t in (t for t in map(sched.time, sched) if t >= t_min and vel.valid_at(t)):
+            try:
+                _ray_point(vel, t, grid)
+            except DomainError as exc:
+                raise ConfigError(f"diagnostics.gamma.rays: ray ({vel.v1}, {vel.v2}) "
+                                  f"at t={t}: {exc}") from exc
+
+
+def _resolve_diagnostics(cfg: ExperimentConfig, linear: bool) -> list:
+    """Each diagnostic's complete parameters (`DiagnosticSpec.settings`),
+    checked before any evolution; `times` default to every snapshot time
+    >= 1, for `scatter` every interior one.  Refused besides `_check_rays`:
+    `times` that are not a list of numbers, a time below 1 or not a snapshot
     time, and a `scatter` time without a snapshot on each side or where the
     band at it or at either of those snapshots is below 1, is empty or has
     its quadratic product reach below twice its lower edge."""
     sched = _schedule(cfg.solver, cfg.snapshot_times, linear)
     resolved = []
     for ds in cfg.diagnostics:
-        if "times" not in ds.PARAMS[ds.kind]:
-            resolved.append(None)
+        params, key = ds.settings, f"diagnostics.{ds.kind}"
+        resolved.append(params)
+        if ds.kind == "gamma":
+            _check_rays(cfg.grid, sched, params["rays"], params["t_min"])
+        if "times" not in params:
             continue
-        times = ds.params.get("times") or [
+        times = params["times"]
+        if not (times is None or isinstance(times, (list, tuple))
+                and all(_is_a(float, t) for t in times)):
+            raise ConfigError(f"{key}.times: expected a list of numbers, got {times!r}")
+        params["times"] = times = list(times or (
             float(sched.time(i)) for i in sched if sched.time(i) >= 1
-            and (ds.kind == "decompose" or None not in sched.around(i))]
+            and (ds.kind == "decompose" or None not in sched.around(i))))
         for t in times:
             i = sched.index(t)
             if i is None:
-                raise ConfigError(f"diagnostics.{ds.kind}.times: t={t} is not a snapshot time")
+                raise ConfigError(f"{key}.times: t={t} is not a snapshot time")
             if ds.kind == "scatter" and None in sched.around(i):
-                raise ConfigError(
-                    f"diagnostics.scatter.times: t={t} needs a snapshot on each side")
+                raise ConfigError(f"{key}.times: t={t} needs a snapshot on each side")
             if not t >= 1:  # the profile and the band are defined for t >= 1
-                raise ConfigError(f"diagnostics.{ds.kind}.times: t={t} is below 1")
+                raise ConfigError(f"{key}.times: t={t} is below 1")
             if ds.kind == "scatter":  # the bands `scattering_residuals` builds
-                alpha, (prev, after) = ds.params.get("alpha", DEFAULT_ALPHA), sched.around(i)
+                prev, after = sched.around(i)
                 for where, tj in (("the snapshot before it", sched.time(prev)), ("that time", t),
                                   ("the snapshot after it", sched.time(after))):
                     try:
-                        BandProjection(tj, alpha).check_product(cfg.grid)
+                        BandProjection(tj).check_product(cfg.grid)
                     except (DomainError, InvalidInputError) as exc:
-                        raise ConfigError(f"diagnostics.scatter.times: t={t}: "
+                        raise ConfigError(f"{key}.times: t={t}: "
                                           f"at {where}, t={tj}: {exc}") from exc
-        resolved.append(list(times))
     return resolved
 
 
@@ -361,7 +383,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> 
     requested diagnostic CSVs, and a provenance manifest.  Deterministic
     for a fixed config and seed."""
     linear = cfg.linear or cfg.initial.amplitude == 0
-    times = _check_diagnostic_times(cfg, linear)
+    resolved = _resolve_diagnostics(cfg, linear)
     out = Path(out_dir if out_dir is not None else (cfg.out_dir or "run_out"))
     out.mkdir(parents=True, exist_ok=True)
     config_text = cfg.to_json()
@@ -370,8 +392,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> 
     u0 = build_initial_data(cfg)
     traj = evolve(u0, cfg.solver, snapshot_times=cfg.snapshot_times, linear=linear)
 
-    for ds, ts in zip(cfg.diagnostics, times):
-        _DIAG_RUNNERS[ds.kind](traj, ds.params if ts is None else {**ds.params, "times": ts}, out)
+    for ds, params in zip(cfg.diagnostics, resolved):
+        _DIAG_RUNNERS[ds.kind](traj, params, out)
 
     if cfg.save_trajectory:
         traj.save(out / "trajectory")

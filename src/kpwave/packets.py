@@ -30,13 +30,9 @@ class PacketParams:
     t: float
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise DomainError("packet requires t > 0")
-        if not self.vel.is_admissible:
-            raise DomainError(f"ray parameter v={self.vel.v} not positive")
-        if self.vel.v < self.t ** (-2.0 / 3.0):
-            raise DomainError(
-                f"v={self.vel.v} below validity threshold t^(-2/3)={self.t**(-2/3):.3g}")
+        if not self.vel.valid_at(self.t):  # so v > 0 too
+            raise DomainError(f"ray parameter v={self.vel.v} invalid at t={self.t}: "
+                              "a packet needs t > 0 and v >= t^(-2/3)")
 
     @property
     def lambda1(self) -> float:
@@ -160,13 +156,19 @@ def _point_value(S: _Spectrum, x: float, y: float) -> float:
     return float(np.einsum("i,ij,j->", ex, c, ey).real)
 
 
+def _ray_point(vel: RayVelocity, t: float, g: Grid2D) -> tuple[float, float]:
+    """The ray point (v1 t, v2 t); `DomainError` outside the trusted central half-box."""
+    x, y = vel.v1 * t, vel.v2 * t
+    if abs(x - g.x0) > g.Lx / 4 or abs(y - g.y0) > g.Ly / 4:
+        raise DomainError(f"ray point ({x}, {y}) outside the trusted central half-box")
+    return x, y
+
+
 def _pair(ux: _Spectrum, p: PacketParams) -> tuple:
     """(gamma, reconstruction error) from the spectrum of u_x: one
     transform for the packet, and u_x evaluated exactly at the ray point."""
     g, t = ux.grid, p.t
-    x_ray, y_ray = p.vel.v1 * t, p.vel.v2 * t
-    if abs(x_ray - g.x0) > g.Lx / 4 or abs(y_ray - g.y0) > g.Ly / 4:
-        raise DomainError("ray point outside the trusted central half-box")
+    x_ray, y_ray = _ray_point(p.vel, t, g)
     gam = _pairing(ux, _packet_coeffs(p, g))
     recon = 2.0 / t * (cmath.exp(1j * phase_phi(t, x_ray, y_ray)) * gam).real
     return gam, abs(_point_value(ux, x_ray, y_ray) - recon)
@@ -194,7 +196,7 @@ class GammaSeries:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InvalidInputError("sample times must be strictly increasing")
         for t in times:
-            if self.vel.v < t ** (-2.0 / 3.0):
+            if not self.vel.valid_at(t):
                 raise DomainError(f"sample at t={t} outside the validity domain")
 
     @property

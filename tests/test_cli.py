@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, JSON outputs, and error paths."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,13 @@ import pytest
 from kpwave.cli import main
 from kpwave.evolution import SolverConfig
 from kpwave.grids import Grid2D
-from kpwave.harness import DiagnosticSpec, ExperimentConfig, InitialSpec, Pulse
+from kpwave.harness import (
+    DiagnosticSpec,
+    ExperimentConfig,
+    InitialSpec,
+    Pulse,
+    theorem_suite_configs,
+)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::kpwave.vfields.UntrustedFieldWarning")
@@ -72,6 +79,36 @@ class TestEvolve:
         assert error["error"] == "ConfigError"
         assert "initial.pulses[0]: unknown key(s) ['centre']" in error["message"]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind, param, value", [("decompose", "delta", 1.0),
+                                                    ("decompose", "width", 0.5),
+                                                    ("scatter", "alpha", 0.2)])
+    def test_a_constant_of_a_diagnostic_is_no_parameter(
+            self, capsys, config_path, tmp_path, kind, param, value):
+        d = json.loads(config_path.read_text())
+        d["diagnostics"] = [{"kind": kind, "params": {param: value}}]
+        config_path.write_text(json.dumps(d))
+        code, _, err = run_cli(capsys, "--config", str(config_path),
+                               "--out", str(tmp_path / "run"), "evolve")
+        assert code == 2
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert f"diagnostics.{kind}: unknown parameter(s) ['{param}']" in error["message"]
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_gamma_ray_leaving_the_trusted_box_refused(self, capsys, tmp_path):
+        cfg = theorem_suite_configs(0.1)["packet"]
+        cfg = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, t_end=140.0),
+                                  snapshot_times=(0.0, 20.0, 60.0, 100.0, 140.0))
+        path = tmp_path / "packet.json"
+        path.write_text(cfg.to_json())
+        code, _, err = run_cli(capsys, "--config", str(path), "--out", str(tmp_path / "run"),
+                               "evolve")
+        assert code == 2
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert error["message"].startswith("diagnostics.gamma.rays: ray (-3.0, 0.0) at t=140.0")
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_missing_config(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "--out", str(tmp_path / "x"), "evolve")
@@ -143,6 +180,19 @@ class TestFitDecay:
         error = json.loads(err)
         assert error["error"] == "ConfigError"
         assert error["message"].startswith(f"{path}: row {row}, column {col!r}: ")
+
+    def test_a_time_that_is_not_positive(self, capsys, tmp_path):
+        # a run's t = 0 row: refused by name, fitted from --tmin 1
+        path = tmp_path / "sup.csv"
+        rows = [(0.0, 2.0)] + [(2.0 ** (k / 4.0), 2.0 ** (-k / 4.0)) for k in range(20)]
+        path.write_text("t[code-units],v\n" + "".join(f"{t!r},{v!r}\n" for t, v in rows))
+        code, _, err = run_cli(capsys, "fit-decay", str(path), "--vcol", "v")
+        assert code == 2
+        assert json.loads(err) == {"error": "InvalidInputError",
+                                   "message": "power-law fit requires positive times, got t=0.0"}
+        code, out, _ = run_cli(capsys, "fit-decay", str(path), "--vcol", "v", "--tmin", "1")
+        assert code == 0
+        assert json.loads(out)["exponent"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "fit-decay",

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -187,6 +188,11 @@ class TestExactTimes:
         assert sched.last == 10**6 and peak < 2**20
         assert all(i in sched for i in (0, 7, 999_999, 10**6))
         assert 8 not in sched and 10**6 + 7 not in sched
+
+    @pytest.mark.parametrize("dt, t_end, steps", [(1e-10, 1e10, "1e+20"), (1e-300, 1e300, "inf")])
+    def test_a_run_too_long_to_index_names_its_step_count(self, dt, t_end, steps):
+        with pytest.raises(InvalidInputError, match=re.escape(f"takes {steps} steps of dt={dt}")):
+            _schedule(SolverConfig(dt=dt, t0=0.0, t_end=t_end), None)
 
     def test_linear_jump_takes_any_time(self, grid):
         u0 = gaussian_field(grid, amp=0.05, sx=2.0, sy=2.0, kx=1.0)
@@ -498,6 +504,16 @@ class TestTrajectoryIO:
             assert Trajectory.load(tmp_path).config.snapshot_stride == 1
             return
         with pytest.raises(InvalidInputError, match=f"missing key.*{key}"):
+            Trajectory.load(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [("dt", "1.0"), ("t_end", True), ("snapshot_stride", 2.0)])
+    def test_load_refuses_a_config_leaf_of_the_wrong_type(self, grid, rng, tmp_path, key, value):
+        snaps = [RealField(grid, random_field(grid, rng).samples, t) for t in (0.0, 1.0)]
+        Trajectory(snaps, SolverConfig(dt=1.0, t0=0.0, t_end=1.0)).save(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["config"][key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(InvalidInputError, match=re.escape(f"config.{key}: expected")):
             Trajectory.load(tmp_path)
 
     @pytest.mark.parametrize("key", ["dealias", "order"])

@@ -40,6 +40,12 @@ class TestRayFrequency:
         assert vel.v == pytest.approx(3.0)
         assert vel.is_admissible
 
+    def test_valid_from_v_to_the_minus_three_halves(self):
+        # v = 1 is valid from t = 1 on; no t <= 0 is valid
+        vel = RayVelocity(-1.0, 0.0)
+        assert [vel.valid_at(t) for t in (-1.0, 0.0, 0.5, 1.0, 8.0)] == [False] * 3 + [True] * 2
+        assert RayVelocity(-0.25, 0.0).valid_at(8.0) and not RayVelocity(-0.25, 0.0).valid_at(7.9)
+
 
 class TestGroupVelocity:
     def test_reference_frequency(self):

@@ -17,7 +17,7 @@ import kpwave
 from kpwave import harness
 from kpwave.harness import (
     DecayFit,
-    _check_diagnostic_times,
+    _resolve_diagnostics,
     DiagnosticSpec,
     ExperimentConfig,
     InitialSpec,
@@ -81,6 +81,13 @@ class TestFitDecay:
         with pytest.raises(InvalidInputError):
             fit_decay(series, (1.0, 100.0))
 
+    def test_positive_times_required(self):
+        # a run's t = 0 row has no logarithm; the fit from t = 1 is fine
+        series = [(0.0, 2.0)] + [(t, 1.0 / t) for t in np.geomspace(1.0, 100.0, 20)]
+        with pytest.raises(InvalidInputError, match=r"positive times, got t=0\.0"):
+            fit_decay(series, (-math.inf, math.inf))
+        assert fit_decay(series, (1.0, math.inf)).exponent == pytest.approx(-1.0, abs=1e-12)
+
     def test_window_must_be_nonempty(self):
         with pytest.raises(InvalidInputError):
             DecayFit(exponent=-1.0, prefactor=1.0, residual_rms=0.0,
@@ -132,10 +139,19 @@ class TestConfig:
 
     @pytest.mark.parametrize("kind, params", [
         ("decompose", {"tims": [2.0]}), ("scatter", {"times": [2.0], "delta": 1.0}),
-        ("gamma", {"times": [2.0]}), ("norms", {"times": [2.0]}), ("sup", {"rays": []})])
+        ("gamma", {"times": [2.0]}), ("norms", {"times": [2.0]}), ("sup", {"rays": []}),
+        ("decompose", {"delta": 1.0}), ("decompose", {"width": 0.5}), ("scatter", {"alpha": 0.2})])
     def test_unknown_parameter(self, kind, params):
         with pytest.raises(ConfigError, match="unknown parameter"):
             DiagnosticSpec(kind, params)
+
+    def test_one_table_states_each_parameter_and_its_default(self):
+        assert DiagnosticSpec.PARAMS == {
+            "norms": {}, "sup": {}, "gamma": {"rays": ((-3.0, 0.0),), "t_min": 1.0},
+            "decompose": {"times": None}, "scatter": {"times": None}}
+        assert sum(map(len, DiagnosticSpec.PARAMS.values())) == 4
+        assert DiagnosticSpec("gamma", {"t_min": 2.0}).settings == {
+            "rays": ((-3.0, 0.0),), "t_min": 2.0}
 
     @pytest.mark.parametrize("keys, path, unknown, required", [
         ((), "ExperimentConfig", "snapshot_time", "grid"),
@@ -170,6 +186,32 @@ class TestConfig:
         level[keys[-1]] = value
         with pytest.raises(ConfigError, match=re.escape(match)):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("keys, value, match", [
+        (("linear",), "no", "linear: expected bool, got 'no'"),
+        (("linear",), 0, "linear: expected bool, got 0"),
+        (("seed",), "a", "seed: expected int, got 'a'"),
+        (("seed",), True, "seed: expected int, got True"),
+        (("grid", "nx"), 64.0, "grid.nx: expected int, got 64.0"),
+        (("solver", "dt"), "0.02", "solver.dt: expected float, got '0.02'"),
+        (("solver", "dt"), False, "solver.dt: expected float, got False"),
+        (("initial", "pulses", 0, "carrier", 0), None,
+         "initial.pulses[0].carrier[0]: expected float, got None"),
+        (("initial", "family"), 1, "initial.family: expected str, got 1")])
+    def test_leaves_of_the_wrong_type_name_their_path(self, keys, value, match):
+        d = json.loads(theorem_suite_configs(0.1)["conservation"].to_json())
+        level = d
+        for k in keys[:-1]:
+            level = level[k]
+        level[keys[-1]] = value
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            ExperimentConfig.from_dict(d)
+
+    def test_an_int_stands_for_a_float_as_given(self):
+        d = json.loads(small_config().to_json())
+        d["solver"]["t_end"] = 1
+        cfg = ExperimentConfig.from_dict(d)
+        assert type(cfg.solver.t_end) is int and json.loads(cfg.to_json()) == d
 
     def test_malformed_json(self):
         with pytest.raises(ConfigError):
@@ -254,6 +296,45 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["toolkit_version"] == kpwave.__version__
 
+    @pytest.mark.parametrize("name, spec, match", [
+        ("profile", DiagnosticSpec("decompose", {"times": "abc"}), "decompose.times: expected a list"),
+        ("profile", DiagnosticSpec("decompose", {"times": 4.0}), "decompose.times: expected a list"),
+        ("profile", DiagnosticSpec("decompose", {"times": [4.0, True]}), "decompose.times: expected"),
+        ("scatter", DiagnosticSpec("scatter", {"times": ["8.0"]}), "scatter.times: expected a list"),
+        ("conservation", DiagnosticSpec("gamma", {"t_min": "x"}), "gamma.t_min: expected a finite"),
+        ("conservation", DiagnosticSpec("gamma", {"t_min": math.nan}), "gamma.t_min: expected"),
+        ("conservation", DiagnosticSpec("gamma", {"t_min": None}), "gamma.t_min: expected")])
+    def test_ill_typed_parameters_refused_before_evolving(
+            self, tmp_path, monkeypatch, name, spec, match):
+        calls = []
+        monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(a))
+        cfg = dataclasses.replace(theorem_suite_configs(0.1)[name], diagnostics=(spec,))
+        with pytest.raises(ConfigError, match=f"diagnostics.{match}"):
+            run_experiment(cfg, tmp_path / "run")
+        assert calls == [] and not list(tmp_path.rglob("*.csv"))
+
+    def test_gamma_ray_leaving_the_trusted_box_refused_before_evolving(self, tmp_path, monkeypatch):
+        # at t = 140 the ray (-3, 0) sits 260 from x0 = -160, past Lx/4 = 240
+        calls = []
+        monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(a))
+        cfg = theorem_suite_configs(0.1)["packet"]
+
+        def ending_at(t_end):
+            return dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, t_end=t_end),
+                                       snapshot_times=(0.0, 20.0, 60.0, 100.0, t_end))
+        _resolve_diagnostics(ending_at(120.0), False)  # 200 from x0: inside
+        with pytest.raises(ConfigError, match=re.escape(
+                "diagnostics.gamma.rays: ray (-3.0, 0.0) at t=140.0: ray point (-420.0, 0.0) "
+                "outside the trusted central half-box")):
+            run_experiment(ending_at(140.0), tmp_path / "run")
+        assert calls == [] and not list(tmp_path.rglob("*.csv"))
+
+    def test_gamma_skips_a_snapshot_at_t_0(self, tmp_path):
+        # no packet exists at t <= 0, whatever t_min says
+        cfg = small_config(diagnostics=(DiagnosticSpec("gamma", {"t_min": -1.0}),))
+        rows = (run_experiment(cfg, tmp_path / "g") / "gamma.csv").read_text().splitlines()
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [0.5, 1.0]
+
     @pytest.mark.parametrize("params", [{"times": [1.2]}, {}])  # given, and the default
     def test_scatter_after_a_snapshot_below_1_refused_before_evolving(
             self, tmp_path, monkeypatch, params):
@@ -332,9 +413,8 @@ class TestTheoremSuite:
 
     def test_canned_times_resolve_to_the_given_ones(self):
         for name, cfg in theorem_suite_configs().items():
-            want = [ds.params["times"] if ds.kind in ("decompose", "scatter") else None
-                    for ds in cfg.diagnostics]
-            assert _check_diagnostic_times(cfg, cfg.linear) == want, name
+            want = [{**DiagnosticSpec.PARAMS[ds.kind], **ds.params} for ds in cfg.diagnostics]
+            assert _resolve_diagnostics(cfg, cfg.linear) == want, name
 
     @pytest.mark.parametrize("linear, t0, snaps", [(False, 0.0, (1.5, 2.0, 2.5, 3.0)),
                                                    (True, 1.5, (2.0, 2.5)),
@@ -348,7 +428,13 @@ class TestTheoremSuite:
         times = evolve(build_initial_data(cfg), cfg.solver, snapshot_times=snaps,
                        linear=linear).times
         want = [[float(t) for t in times if t >= 1], [float(t) for t in times[1:-1] if t >= 1]]
-        assert _check_diagnostic_times(cfg, linear) == want[:len(kinds)]
+        assert [p["times"] for p in _resolve_diagnostics(cfg, linear)] == want[:len(kinds)]
+
+    @pytest.mark.parametrize("scale", [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+    def test_canned_packet_rays_stay_in_the_trusted_box(self, scale):
+        cfg = theorem_suite_configs(scale)["packet"]
+        (params,) = _resolve_diagnostics(cfg, cfg.linear)
+        assert params == cfg.diagnostics[0].params
 
     def test_scale_validation(self):
         with pytest.raises(ConfigError):
@@ -366,9 +452,9 @@ class TestTheoremSuite:
         for name, cfg in theorem_suite_configs(scale).items():
             if name == "scatter" and scatter_refusal:
                 with pytest.raises(ConfigError, match=scatter_refusal):
-                    _check_diagnostic_times(cfg, cfg.linear)
+                    _resolve_diagnostics(cfg, cfg.linear)
             else:
-                _check_diagnostic_times(cfg, cfg.linear)
+                _resolve_diagnostics(cfg, cfg.linear)
             if cfg.linear:
                 continue
             s = cfg.solver
@@ -386,7 +472,7 @@ class TestTheoremSuite:
         def check(kind, t):
             cfg = small_config(solver=solver, snapshot_times=None,
                                diagnostics=(DiagnosticSpec(kind, {"times": [t]}),))
-            _check_diagnostic_times(cfg, False)
+            _resolve_diagnostics(cfg, False)
         tracemalloc.start()
         check("scatter", 6.0)
         check("decompose", 5e5)  # the last step, off the stride
@@ -406,7 +492,7 @@ class TestTheoremSuite:
             with pytest.raises(ConfigError, match=match):
                 check(kind, t)
         with pytest.raises(ConfigError, match="not a snapshot time"):
-            _check_diagnostic_times(small_config(snapshot_times=(), diagnostics=(
+            _resolve_diagnostics(small_config(snapshot_times=(), diagnostics=(
                 DiagnosticSpec("scatter", {"times": [0.5]}),)), False)
 
     def test_a_time_names_its_snapshot_under_one_tolerance(self):
@@ -415,7 +501,7 @@ class TestTheoremSuite:
         t, solver = 100.00000005, SolverConfig(dt=100.0, t0=0.0, t_end=300.0)
         cfg = small_config(solver=solver, snapshot_times=(0.0, t, 300.0),
                            diagnostics=(DiagnosticSpec("decompose", {"times": [t]}),))
-        assert _check_diagnostic_times(cfg, False) == [[t]]
+        assert _resolve_diagnostics(cfg, False) == [{"times": [t]}]
         traj = evolve(RealField(cfg.grid, np.zeros(cfg.grid.shape), 0.0), solver,
                       snapshot_times=cfg.snapshot_times)
         assert list(traj.times) == [0.0, 100.0, 300.0]
@@ -428,12 +514,12 @@ class TestTheoremSuite:
         # band's positive rows, wrapped onto the x lattice, keep |xi| >= 2*lower
         cfg = theorem_suite_configs(scale)["scatter"]
         try:
-            (times,) = _check_diagnostic_times(cfg, cfg.linear)
+            (params,) = _resolve_diagnostics(cfg, cfg.linear)
         except ConfigError:
             return
         g, snaps = cfg.grid, sorted(cfg.snapshot_times)
         k = np.abs(np.rint(g.xi * g.Lx / (2 * np.pi)).astype(int))
-        for t in times:
+        for t in params["times"]:
             j = snaps.index(t)
             for tj in snaps[j - 1:j + 2]:
                 lower, upper = tj ** (-1 / 12), tj ** (1 / 12)
