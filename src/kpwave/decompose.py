@@ -1,6 +1,11 @@
 """Sign-frequency split, dyadic x-frequency decomposition, the
 hyperbolic/elliptic spatial split, and the pointwise-bound profiler, which
-transforms its input once and keeps u+ and the dyadic pieces as coefficients."""
+transforms its input once and keeps u+ and the dyadic pieces as coefficients.
+
+The profiler holds one dyadic piece at a time: a piece's split, spectra and
+derivatives are dropped once its per-scale row is read, and only the sums
+of the hyperbolic parts (u_hyp as a real array, beside their coefficients)
+carry over to the next.  The v-bins are found in one sorted pass."""
 
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from .grids import (
     full_lattice,
     is_projected,
     l2_norm,
-    samples_of,
+    samples_in_place,
     spectrum,
 )
 from .bumps import plateau_cutoff, smooth_step
@@ -123,7 +128,8 @@ def split_sign_frequencies(u: RealField) -> tuple[ComplexField, ComplexField]:
     reconstruction is exact for any input.
     """
     g = u.grid
-    u_plus = ComplexField(g, samples_of(_plus_coeffs(spectrum(u.samples), g), g.shape), u.time_tag)
+    c = _plus_coeffs(spectrum(u.samples), g)
+    u_plus = ComplexField(g, samples_in_place(c, g.ny), u.time_tag)
     u_minus = ComplexField(g, np.conj(u_plus.samples), u.time_tag)
     return u_plus, u_minus
 
@@ -164,7 +170,7 @@ def dyadic_decompose(u_plus: ComplexField, delta: float = 1.0) -> list[DyadicPie
     """Partition-of-unity decomposition in x-frequency over the 2^{delta Z}
     lattice; the pieces sum back to the input exactly."""
     g, t = u_plus.grid, u_plus.time_tag
-    return [DyadicPiece(lam, ComplexField(g, samples_of(c, g.shape), t))
+    return [DyadicPiece(lam, ComplexField(g, samples_in_place(c, g.ny), t))
             for lam, c in _dyadic_coeffs(g, spectrum(u_plus.samples), delta)]
 
 
@@ -213,6 +219,41 @@ def ell_x_bound(t: float, v: float) -> float:
     return t ** (-13.0 / 12.0) * _bracket(t ** (2.0 / 3.0) * v) ** -0.25
 
 
+def _bin_maxima(v: np.ndarray, edges: np.ndarray, fields) -> tuple[np.ndarray, list]:
+    """The v-bins that hold a sample, and each field's max |f| on each: bin
+    0 is v <= edges[0], bin i is edges[i-1] < v <= edges[i], and v past
+    edges[-1] is in none.  One sort of the samples by bin serves every
+    field."""
+    b = np.searchsorted(edges, v.ravel(), side="left")
+    counts = np.bincount(b, minlength=len(edges))[:len(edges)]
+    order = np.argsort(b, kind="stable")[:counts.sum()]
+    bins = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[bins]
+    return bins, [np.maximum.reduceat(np.abs(f.ravel()[order]), starts) for f in fields]
+
+
+def _scale_row(piece: _Spectrum, lam: float, v: np.ndarray, width: float,
+               u_hyp: np.ndarray, hyp_coeffs: np.ndarray) -> LambdaRow:
+    """One dyadic piece's operator estimates.  Adds the real samples and
+    the coefficients of its hyperbolic part to u_hyp and hyp_coeffs, and
+    drops each of its fields once read."""
+    g, t, samples = piece.grid, piece.time_tag, piece.inv(1.0)  # not cached on the piece
+    split = hyperbolic_elliptic_split(DyadicPiece(lam, piece.field(samples)), width)
+    ell_weighted = l2_norm(piece.field(_bracket(v / lam**2) * split.ell.samples))
+    hyp, l2 = _Spectrum.of(split.hyp), l2_norm(piece.field(samples))
+    del split, samples
+    u_hyp += hyp.samples.real
+    hyp_coeffs += hyp.coeffs
+    budget = l2 + l2_norm(piece.field(_vector_field(VectorFieldId("Lz", t), piece.d(1))))
+    return LambdaRow(
+        lam=lam,
+        lz_hyp=l2_norm(hyp.field(_vector_field(VectorFieldId("LzPlus", t), hyp))),
+        lz_hyp_rhs=lam**-2 * t**-0.5 * budget,
+        ell_weighted=ell_weighted,
+        ell_rhs=lam**-3 / t * budget,
+    )
+
+
 def pointwise_profile(u: RealField, t: float, delta: float = 1.0,
                       width: float = 0.5) -> PointwiseProfile:
     """Profile the decomposed field against the hyperbolic/elliptic bound
@@ -223,58 +264,34 @@ def pointwise_profile(u: RealField, t: float, delta: float = 1.0,
     g = u.grid
     S = _Spectrum.of(u)
     v = z_coordinate(g, t) / t
-    # u_hyp = 2 Re(hyp_plus), with hyp_plus's coefficients summed piece by piece
-    hyp_plus, hyp_coeffs = np.zeros(g.shape, dtype=complex), np.zeros(g.shape, dtype=complex)
-    lambda_rows = []
-    for lam, c in _dyadic_coeffs(g, _plus_coeffs(S.coeffs, g), delta):
-        if lam < t ** (-1.0 / 3.0):  # wholly elliptic
-            continue
-        piece = _Spectrum(g, c, t)
-        split = hyperbolic_elliptic_split(DyadicPiece(lam, piece.field()), width)
-        hyp = _Spectrum.of(split.hyp)
-        hyp_plus += hyp.samples
-        hyp_coeffs += hyp.coeffs
-        lz_dx = _vector_field(VectorFieldId("Lz", t), piece.d(1))
-        budget = l2_norm(piece.field()) + l2_norm(piece.field(lz_dx))
-        lambda_rows.append(LambdaRow(
-            lam=lam,
-            lz_hyp=l2_norm(hyp.field(_vector_field(VectorFieldId("LzPlus", t), hyp))),
-            lz_hyp_rhs=lam**-2 * t**-0.5 * budget,
-            ell_weighted=l2_norm(ComplexField(g, _bracket(v / lam**2) * split.ell.samples, t)),
-            ell_rhs=lam**-3 / t * budget,
-        ))
+    # u_hyp = 2 Re(hyp_plus), summed piece by piece as real parts, beside
+    # hyp_plus's coefficients
+    u_hyp, hyp_coeffs = np.zeros(g.shape), np.zeros(g.shape, dtype=complex)
+    lambda_rows = [_scale_row(_Spectrum(g, c, t), lam, v, width, u_hyp, hyp_coeffs)
+                   for lam, c in _dyadic_coeffs(g, _plus_coeffs(S.coeffs, g), delta)
+                   if lam >= t ** (-1.0 / 3.0)]  # smaller scales are wholly elliptic
+    u_hyp *= 2
 
-    u_hyp = 2 * hyp_plus.real
-    u_ell = u.samples - u_hyp
-    dx_hyp = _Spectrum(g, hyp_coeffs, t, hyp_plus).d(1)
+    dx_hyp = _Spectrum(g, hyp_coeffs, t).d(1)
     hyp_x = 2 * dx_hyp.samples.real
     ux = S.d(1)  # held, so that the X norm shares it
-    ell_x = ux.samples - hyp_x
 
     v_floor = t ** (-2.0 / 3.0) / 8
     v_cap = max(np.abs(v).max(), 2 * v_floor)
     n_bins = int(math.ceil(math.log10(v_cap / v_floor) * BINS_PER_DECADE))
     edges = v_floor * (v_cap / v_floor) ** (np.arange(n_bins + 1) / n_bins)
-
+    lows = (0.0, *edges)  # bin 0 is the catch-all below the floor (elliptic territory)
     rows = []
-    # catch-all bin for v below the floor (elliptic territory)
-    masks = [(v <= edges[0], 0.0, edges[0])]
-    for i in range(n_bins):
-        masks.append(((v > edges[i]) & (v <= edges[i + 1]), edges[i], edges[i + 1]))
-    for mask, v_lo, v_hi in masks:
-        if not np.any(mask):
-            continue
+    bins, maxima = _bin_maxima(v, edges, (u_hyp, hyp_x, u.samples - u_hyp, ux.samples - hyp_x))
+    for i, sup_hyp, sup_hyp_x, sup_ell, sup_ell_x in zip(bins, *maxima):
+        v_lo, v_hi = lows[i], edges[i]
         v_mid = math.sqrt(max(v_lo, v_floor / 2) * v_hi)
         rows.append(ProfileRow(
             v_lo=v_lo, v_hi=v_hi,
-            sup_hyp=float(np.abs(u_hyp[mask]).max()),
-            bound_hyp=hyp_bound(t, v_mid),
-            sup_hyp_x=float(np.abs(hyp_x[mask]).max()),
-            bound_hyp_x=hyp_x_bound(t, v_mid),
-            sup_ell=float(np.abs(u_ell[mask]).max()),
-            bound_ell=ell_bound(t, v_mid),
-            sup_ell_x=float(np.abs(ell_x[mask]).max()),
-            bound_ell_x=ell_x_bound(t, v_mid),
+            sup_hyp=float(sup_hyp), bound_hyp=hyp_bound(t, v_mid),
+            sup_hyp_x=float(sup_hyp_x), bound_hyp_x=hyp_x_bound(t, v_mid),
+            sup_ell=float(sup_ell), bound_ell=ell_bound(t, v_mid),
+            sup_ell_x=float(sup_ell_x), bound_ell_x=ell_x_bound(t, v_mid),
         ))
 
     # corollary quantities: weighted norms of the assembled hyperbolic part
@@ -284,8 +301,8 @@ def pointwise_profile(u: RealField, t: float, delta: float = 1.0,
     hyp_weighted = l2_norm(dx_hyp.field(w_pos * lz_dx_hyp))
     inv_v = np.where(v > v_floor, 1.0 / np.maximum(v, v_floor), 0.0)
     # u_hyp = hyp_plus + conj(hyp_plus), and Ly^2 u_hyp stays a spectrum for dx^3
-    u_hyp_coeffs = (hyp_coeffs + conjugate_mirror(hyp_coeffs))[:, :S.coeffs.shape[1]]
-    u_hyp_spectrum = _Spectrum(g, u_hyp_coeffs, t, u_hyp)
+    hyp_coeffs += conjugate_mirror(hyp_coeffs)
+    u_hyp_spectrum = _Spectrum(g, hyp_coeffs[:, :S.coeffs.shape[1]], t, u_hyp)
     third = _ly_spectrum(_ly_spectrum(u_hyp_spectrum, t), t).d(3).samples
     ell_third = l2_norm(S.field(inv_v * third))
 

@@ -12,13 +12,14 @@ Conventions fixed here and relied on everywhere else:
 * One transform pair, `spectrum`/`samples_of`, gives raw coefficients
   (1/(nx*ny) normalized, no physical phase): the rfft2 half spectrum (the
   first ny//2 + 1 columns) of a real field, the fft2 lattice of a complex
-  one.  A half spectrum is inverted by an x pass and a y pass:
-  `samples_in_place` overwrites a buffer its caller gives up, and
-  `samples_of` inverts a private copy.  Inside kpwave every operation is a
-  diagonal symbol product or a Parseval sum, which the phase does not
-  change, so the phase exists only where a public `SpectralField` enters
-  or leaves (`to_spectral`, `from_spectral`, and `inverse_transform`'s
-  Hermitian check).
+  one.  A half spectrum is inverted by an x pass and a y pass.  A caller
+  that owns a fresh buffer (a symbol product, a flowed spectrum) inverts
+  it in place with `samples_in_place`, which overwrites it; `samples_of`
+  inverts a private copy and leaves its input as it is.  Inside kpwave
+  every operation is a diagonal symbol product or a Parseval sum, which
+  the phase does not change, so the phase exists only where a public
+  `SpectralField` enters or leaves (`to_spectral`, `from_spectral`, and
+  `inverse_transform`'s Hermitian check).
 * Nyquist modes sit on the negative half of the lattice; odd-symbol
   multipliers are zeroed there to preserve realness.
 * A real field's Nyquist coefficients are their own mirrors, so the phase
@@ -236,9 +237,13 @@ def samples_of(coeffs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def samples_in_place(coeffs: np.ndarray, ny: int) -> np.ndarray:
-    """The real samples of a complex half spectrum, which this overwrites:
-    ifft along x in place, then irfft along y.  That is irfft2's arithmetic
-    (bit for bit) without the complex temporary its x pass allocates."""
+    """`samples_of` for coefficients its caller gives up, which this
+    overwrites: a full lattice (ny columns) by ifft2 in place, a half
+    spectrum by an ifft along x in place, then an irfft along y.  That is
+    irfft2's arithmetic (bit for bit) without the complex temporary its x
+    pass allocates."""
+    if coeffs.shape[1] == ny:
+        return sfft.ifft2(coeffs, norm="forward", overwrite_x=True)
     c = sfft.ifft(coeffs, axis=0, norm="forward", overwrite_x=True)
     return sfft.irfft(c, n=ny, axis=1, norm="forward", overwrite_x=True)
 
@@ -316,7 +321,7 @@ def inverse_transform(F: SpectralField) -> RealField:
 
 def inverse_transform_complex(F: SpectralField) -> ComplexField:
     g = F.grid
-    return ComplexField(g, samples_of(F.coeffs / g._phase(), g.shape), F.time_tag)
+    return ComplexField(g, samples_in_place(F.coeffs / g._phase(), g.ny), F.time_tag)
 
 
 def apply_multiplier(F: SpectralField, m: Multiplier) -> SpectralField:

@@ -103,7 +103,14 @@ class DiagnosticSpec:
         if unknown:
             raise ConfigError(f"diagnostics.{self.kind}: unknown parameter(s) {unknown}")
         if self.kind == "gamma":
-            for ray in self.settings["rays"]:
+            rays = self.settings["rays"]
+            if not isinstance(rays, (list, tuple)):
+                raise ConfigError(f"diagnostics.gamma.rays: expected a list of rays, got {rays!r}")
+            for ray in rays:
+                if not (isinstance(ray, (list, tuple)) and len(ray) == 2
+                        and all(_is_a(float, x) and math.isfinite(x) for x in ray)):
+                    raise ConfigError(f"diagnostics.gamma.rays: ray {ray!r} is not a pair "
+                                      "of finite numbers")
                 if not RayVelocity(*ray).is_admissible:
                     raise ConfigError(f"diagnostics.gamma.rays: ray {tuple(ray)} has v <= 0")
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, InvalidInputError
 from .geometry import RayVelocity, phase_phi, phase_phi_grid
-from .grids import ComplexField, Grid2D, RealField, full_lattice, samples_of, spectrum, sup_norm
+from .grids import ComplexField, Grid2D, RealField, full_lattice, samples_in_place, spectrum, sup_norm
 from .bumps import bump_d1, bump_d2, bump_normalized
 from .vfields import _central_half_box, _Spectrum, _symbol, z_coordinate
 
@@ -74,7 +74,7 @@ def _packet_coeffs(p: PacketParams, grid: Grid2D) -> np.ndarray:
 def build_packet(p: PacketParams, grid: Grid2D) -> ComplexField:
     """Assemble the packet -i sqrt(3) v^{-1/2} dx(chi e^{i phi}); the x
     derivative acts spectrally on the assembled product."""
-    return ComplexField(grid, samples_of(_packet_coeffs(p, grid), grid.shape), p.t)
+    return ComplexField(grid, samples_in_place(_packet_coeffs(p, grid), grid.ny), p.t)
 
 
 def _pairing(ux: _Spectrum, psi_coeffs: np.ndarray) -> complex:
@@ -135,7 +135,7 @@ def packet_residual(p: PacketParams, grid: Grid2D,
     c_m, c, c_p = (_packet_coeffs(PacketParams(p.vel, s), grid)
                    for s in (t - dt_step, t, t + dt_step))
     flow = (c_p - c_m) / (2 * dt_step) + (_symbol(grid, 3) - _symbol(grid, -1, 2)) * c
-    full = ComplexField(grid, samples_of(flow, grid.shape), t)
+    full = ComplexField(grid, samples_in_place(flow, grid.ny), t)
     leading = _leading_bracket(p, grid)
     rem = ComplexField(grid, full.samples - leading.samples, t)
     return PacketResidual(

@@ -16,7 +16,7 @@ from .grids import (
     RealField,
     is_projected,
     l2_norm,
-    samples_of,
+    samples_in_place,
     spectrum,
 )
 from .vfields import _Spectrum, _symbol
@@ -93,8 +93,8 @@ def band_project(u: RealField, bp: BandProjection) -> tuple[RealField, ComplexFi
     real band field and its positive-frequency half."""
     g = u.grid
     W = _band(spectrum(u.samples), g, bp)
-    w_plus = ComplexField(g, samples_of(_plus_coeffs(W, g), g.shape), u.time_tag)
-    return RealField(g, samples_of(W, g.shape), u.time_tag), w_plus
+    w_plus = ComplexField(g, samples_in_place(_plus_coeffs(W, g), g.ny), u.time_tag)
+    return RealField(g, samples_in_place(W, g.ny), u.time_tag), w_plus
 
 
 def _check_floor(low: float, lower: float) -> None:
@@ -128,7 +128,7 @@ def compute_umod(w_plus: ComplexField, lower: float) -> RealField:
     """
     g = w_plus.grid
     _, coeffs = _umod(_Spectrum.of(w_plus), lower)
-    return RealField(g, samples_of(coeffs, g.shape), w_plus.time_tag)
+    return RealField(g, samples_in_place(coeffs, g.ny), w_plus.time_tag)
 
 
 def scattering_residuals(traj: Trajectory, t: float,
@@ -159,7 +159,7 @@ def scattering_residuals(traj: Trajectory, t: float,
     # d_t u_mod + (dx^3 - dx^{-1} dy^2) u_mod, on the coefficients
     flow = ((um_next - um_prev) / (times[idx + 1] - times[idx - 1])
             + (_symbol(g, 3) - _symbol(g, -1, 2, umod.shape[1])) * umod)
-    modscat = l2_norm(RealField(g, 2 * q_half - samples_of(flow, g.shape), t))
+    modscat = l2_norm(RealField(g, 2 * q_half - samples_in_place(flow, g.ny), t))
     b_prev, b_here = (_linear_flow(spectra[j].coeffs, g, -times[j]) for j in (idx - 1, idx))
     return ScatterReport(t=t, umod_l2=_Spectrum(g, umod, t).l2(),
                          scat_helper_residual=helper, modscat_residual=modscat,
@@ -183,4 +183,4 @@ def extract_scatter_data(traj: Trajectory, min_fraction: float = 0.25
         if prev is not None:
             drift_series.append((float(s.time_tag), _Spectrum(g, back - prev, 0.0).l2()))
         prev = back
-    return RealField(g, samples_of(prev, g.shape), 0.0), drift_series
+    return RealField(g, samples_in_place(prev, g.ny), 0.0), drift_series

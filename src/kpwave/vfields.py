@@ -32,7 +32,7 @@ from .grids import (
     dy_symbol,
     half_l2_squared,
     l2_norm,
-    samples_of,
+    samples_in_place,
     spectrum,
     sum_squares,
     sup_norm,
@@ -98,7 +98,11 @@ class _Spectrum:
         return self._samples
 
     def inv(self, symbol) -> np.ndarray:
-        return samples_of(symbol * self.coeffs, self.grid.shape)
+        """The samples of symbol * coeffs, inverted in place.  The product
+        is the one buffer this allocates, or none: a symbol array of the
+        coefficients' shape is given up by its caller and holds it."""
+        out = symbol if np.shape(symbol) == self.coeffs.shape else None
+        return samples_in_place(np.multiply(symbol, self.coeffs, out=out), self.grid.ny)
 
     def d(self, dx_order: int = 0, dy_order: int = 0) -> "_Spectrum":
         if not (dx_order or dy_order):
@@ -136,7 +140,9 @@ def _symbol(grid, dx_order: int = 0, dy_order: int = 0, cols: int | None = None)
 
 
 def _lx_symbol(grid, t: float, cols: int | None = None) -> np.ndarray:
-    return -3 * t * _symbol(grid, 2) - t * _symbol(grid, -2, 2, cols)
+    s = _symbol(grid, -2, 2, cols)  # scaled and subtracted in place: one 2-D array
+    s *= t
+    return np.subtract(-3 * t * _symbol(grid, 2), s, out=s)
 
 
 def _ly_symbol(grid, t: float, cols: int | None = None) -> np.ndarray:
@@ -186,9 +192,9 @@ def _vector_field(vfid: VectorFieldId, S: _Spectrum) -> np.ndarray:
     if tag == "LyDx":
         return _vector_field(VectorFieldId("Ly", t), S.d(1))
     if tag == "S0":  # Lx dx + Ly dy
-        symbol = (_lx_symbol(g, t, cols) * _symbol(g, 1)
-                  + _ly_symbol(g, t, cols) * _symbol(g, 0, 1, cols))
-        return S.d(1).weighted(g.XA) + S.d(0, 1).weighted(g.YA) + S.inv(symbol)
+        return (S.d(1).weighted(g.XA) + S.d(0, 1).weighted(g.YA)
+                + S.inv(_lx_symbol(g, t, cols) * _symbol(g, 1)
+                        + _ly_symbol(g, t, cols) * _symbol(g, 0, 1, cols)))
     if tag == "Lz":
         return S.weighted(z_coordinate(g, t)) + S.inv(3 * t * _symbol(g, 2))
     if tag in ("LzPlus", "LzMinus"):

@@ -1,10 +1,13 @@
 """Sign split, dyadic pieces, hyperbolic/elliptic split, and the profiler."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kpwave.decompose import (
     DyadicPiece,
+    _bin_maxima,
     dyadic_decompose,
     hyperbolic_elliptic_split,
     pointwise_profile,
@@ -22,7 +25,7 @@ from kpwave.grids import (
     l2_norm,
     project_field,
 )
-from kpwave.harness import fit_decay
+from kpwave.harness import build_initial_data, fit_decay, theorem_suite_configs
 from kpwave.vfields import x_norm, z_coordinate
 
 from conftest import random_field
@@ -222,7 +225,44 @@ class TestLinearRunConcentration:
             assert tail < 1e-8 * np.sum(np.abs(F.coeffs) ** 2)
 
 
+class TestBinMaxima:
+    def test_matches_a_mask_per_bin(self, rng):
+        edges = np.array([0.1, 0.2, 0.4, 0.8, 1.6])
+        # on an edge (the lower bin), in the catch-all, past the last edge,
+        # and nothing in (0.4, 0.8]
+        v = np.concatenate([[0.2, 0.1, 1.6, 0.05, -3.0, 2.0],
+                            rng.uniform(0.1, 0.4, 40), rng.uniform(0.8, 1.6, 30)])
+        f = rng.standard_normal((2, v.size))
+        f[0, 0] = 10.0  # the max of (0.1, 0.2] sits on its upper edge
+        order = rng.permutation(v.size)
+        v, f = v[order].reshape(4, 19), f[:, order].reshape(2, 4, 19)
+        masks = [v <= edges[0]] + [(v > lo) & (v <= hi) for lo, hi in zip(edges, edges[1:])]
+        want = [i for i, m in enumerate(masks) if np.any(m)]
+        bins, maxima = _bin_maxima(v, edges, f)
+        assert want == [0, 1, 2, 4] and bins.tolist() == want
+        for field, got in zip(f, maxima):
+            assert got.tolist() == [np.abs(field[masks[i]]).max() for i in want]
+        assert maxima[0][1] == 10.0
+
+
 class TestPointwiseProfile:
+    def test_working_memory_on_the_profile_grid(self):
+        """The tracemalloc peak of one call on the canned profile grid
+        (1024x256) at t = 4, in full complex arrays of that grid: 10.6 when
+        each dyadic piece is finished and dropped before the next, the
+        v-bins are found in one pass and each fresh spectrum is inverted in
+        place; 21.7 when every piece's fields, the bin masks and the copies
+        of fresh buffers lived until the return."""
+        cfg = theorem_suite_configs()["profile"]
+        g = cfg.grid
+        traj = evolve(build_initial_data(cfg), cfg.solver, snapshot_times=[0.0, 4.0], linear=True)
+        u = traj.field_at(4.0)
+        tracemalloc.start()
+        pointwise_profile(u, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 11.6 * g.nx * g.ny * 16
+
     def test_zero_field(self, grid):
         prof = pointwise_profile(RealField(grid, np.zeros(grid.shape), 0.0), 2.0)
         for row in prof.rows:

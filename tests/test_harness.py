@@ -137,6 +137,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DiagnosticSpec("gamma", {"rays": [(3.0, 0.0)]})
 
+    @pytest.mark.parametrize("rays", [[["a", 0]], [[-3.0, 0.0, 1.0]], [-3.0], [[math.nan, 0.0]]])
+    def test_malformed_gamma_ray_refused_by_its_path(self, rays):
+        # each ray is checked to be a pair of finite numbers before its v is read
+        match = re.escape(f"diagnostics.gamma.rays: ray {rays[0]!r} is not a pair "
+                          "of finite numbers")
+        with pytest.raises(ConfigError, match=match):
+            DiagnosticSpec("gamma", {"rays": rays})
+        d = json.loads(theorem_suite_configs(0.1)["packet"].to_json())
+        d["diagnostics"][0]["params"]["rays"] = rays
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(d)
+
     @pytest.mark.parametrize("kind, params", [
         ("decompose", {"tims": [2.0]}), ("scatter", {"times": [2.0], "delta": 1.0}),
         ("gamma", {"times": [2.0]}), ("norms", {"times": [2.0]}), ("sup", {"rays": []}),

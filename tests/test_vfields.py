@@ -1,5 +1,6 @@
 """The commuting first-order operators, the X norm, and inequality checkers."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from kpwave.grids import (
     project_field,
     project_zero_xmodes,
 )
+from kpwave.harness import build_initial_data, theorem_suite_configs
 from kpwave.vfields import (
     UntrustedFieldWarning,
     VectorFieldId,
@@ -113,6 +115,22 @@ class TestApplyVectorField:
 
 
 class TestXNorm:
+    def test_working_memory_on_the_energy_grid(self):
+        """The tracemalloc peak of one call on the canned energy grid
+        (1024x512), in half spectra of that grid: 8.0 when each fresh
+        symbol product is inverted in place and each symbol is built in
+        one array, 10.0 when `_Spectrum.inv` and `.samples` copied the
+        buffers they had just allocated."""
+        cfg = theorem_suite_configs()["energy"]
+        g, u = cfg.grid, build_initial_data(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UntrustedFieldWarning)
+            tracemalloc.start()
+            x_norm(u, 50.0)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak <= 9.0 * g.nx * (g.ny // 2 + 1) * 16
+
     def test_zero_field(self, grid):
         rep = x_norm(RealField(grid, np.zeros(grid.shape), 0.0), 0.0)
         assert rep.l2 == rep.uxxx == rep.ly2dxu == rep.s0u == rep.total == 0.0

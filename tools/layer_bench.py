@@ -14,9 +14,12 @@ order of the trees alternates from round to round.  At the energy grid
 times the transform pair (`spectrum` then `samples_of`), one flux
 evaluation (the product and its dealiased forward transform), one IFRK4
 step, a `derivative` and an `x_norm`, each on the experiment's initial
-datum, and keeps the median of `--repeats` calls.  The report gives, per
-tree and layer, the median and interquartile range of those round medians
-in milliseconds, and each tree's median over the first tree's.
+datum; on the profile grid (1024x256) it times a `pointwise_profile` of
+that experiment's datum flowed linearly to t = 4.  It keeps the median of
+`--repeats` calls, and the `tracemalloc` peak of one more call, untimed.
+The report gives, per tree and layer, the median and interquartile range
+of those round medians in milliseconds, each tree's median over the first
+tree's, and the median of the peaks in MiB.
 
 With `--kpbench-pairs n`, n pairs of `kpbench/run.py --workload all
 --trace 0` runs follow (seed 9001 + i for pair i, tree order alternating),
@@ -35,36 +38,51 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 GRIDS = {"1024x512": "energy", "1024x256": "packet"}
 LAYERS = ("transform_pair", "flux", "ifrk4_step", "derivative", "x_norm")
+PROFILE_TIME = 4.0  # the `pointwise_profile` layer's time, on the profile grid
 # which way each end-to-end metric improves, as the benchmark declares it
 BETTER = {m["name"]: m["better"] for m in json.loads(
     (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
-def _median_ms(fn, make_args, repeats: int) -> float:
+def _measure(fn, make_args, repeats: int) -> dict:
+    """The median time in ms of `repeats` calls, and the tracemalloc peak in
+    MiB of one more, untimed; the arguments are made outside both."""
+    fn(*make_args())  # warm the plan caches
+    args = make_args()
+    tracemalloc.start()
+    fn(*args)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     times = []
     for _ in range(repeats):
         args = make_args()
         start = time.perf_counter()
         fn(*args)
         times.append(time.perf_counter() - start)
-    return 1e3 * statistics.median(times)
+    return {"ms": 1e3 * statistics.median(times), "peak_mib": peak / 2**20}
 
 
 def worker(root: Path, repeats: int) -> dict:
-    """The median call time in ms of every layer on both grids, with kpwave
-    imported from `root`/src."""
+    """The median call time in ms and the peak in MiB of every layer, with
+    kpwave imported from `root`/src."""
     sys.path.insert(0, str(root / "src"))
     import warnings
 
-    from kpwave import evolution, grids, harness, vfields
+    from kpwave import decompose, evolution, grids, harness, vfields
 
     warnings.simplefilter("ignore")  # x_norm's untrusted-coordinate warnings
     cfgs = harness.theorem_suite_configs()
     out = {}
+    cfg = cfgs["profile"]
+    u = evolution.evolve(harness.build_initial_data(cfg), cfg.solver, linear=True,
+                         snapshot_times=[cfg.solver.t0, PROFILE_TIME]).field_at(PROFILE_TIME)
+    out[f"{cfg.grid.nx}x{cfg.grid.ny}.pointwise_profile"] = _measure(
+        lambda: decompose.pointwise_profile(u, PROFILE_TIME), tuple, repeats)
     for label, name in GRIDS.items():
         cfg = cfgs[name]
         g, dt = cfg.grid, cfg.solver.dt
@@ -81,9 +99,7 @@ def worker(root: Path, repeats: int) -> dict:
             "x_norm": (lambda: vfields.x_norm(u, 1.0), tuple),
         }
         for layer in LAYERS:
-            fn, make_args = calls[layer]
-            fn(*make_args())  # warm the plan caches
-            out[f"{label}.{layer}"] = _median_ms(fn, make_args, repeats)
+            out[f"{label}.{layer}"] = _measure(*calls[layer], repeats)
     return out
 
 
@@ -116,9 +132,11 @@ def layer_rounds(trees: dict, rounds: int, repeats: int) -> dict:
     first = next(iter(trees))
     report = {}
     for key in per_tree[first][0]:
-        stats = {label: _spread([rec[key] for rec in recs]) for label, recs in per_tree.items()}
-        for label in trees:
+        stats = {label: _spread([rec[key]["ms"] for rec in recs])
+                 for label, recs in per_tree.items()}
+        for label, recs in per_tree.items():
             stats[label]["ratio_to_" + first] = stats[label]["median"] / stats[first]["median"]
+            stats[label]["peak_mib"] = statistics.median(rec[key]["peak_mib"] for rec in recs)
         report[key] = stats
     return report
 
@@ -183,6 +201,7 @@ def main(argv=None) -> int:
         p.error("each --tree must name a kpwave checkout with src/kpwave")
     report = {"environment": environment(), "trees": list(trees),
               "layers": {"rounds": args.rounds, "repeats": args.repeats, "unit": "ms",
+                         "peak_unit": "MiB",
                          "timings": layer_rounds(trees, args.rounds, args.repeats)}}
     if args.kpbench_pairs:
         report["kpbench"] = kpbench_pairs(trees, args.kpbench_pairs, args.kpbench_seconds)
