@@ -183,14 +183,18 @@ def hyperbolic_elliptic_split(piece: DyadicPiece, width: float = 0.5) -> HypEllS
     t = piece.t
     if t < 1:
         raise DomainError("hyperbolic/elliptic split defined for t >= 1")
+    return _cut(piece, z_coordinate(piece.plus_part.grid, t) / t, width)
+
+
+def _cut(piece: DyadicPiece, v: np.ndarray, width: float) -> HypEllSplit:
+    """`hyperbolic_elliptic_split` at the samples' v = z/t, which a caller
+    that holds v passes in."""
     if not width > 0:
         raise InvalidInputError("width must be positive")
-    g = piece.plus_part.grid
-    lam = piece.lam
+    g, t, lam = piece.plus_part.grid, piece.t, piece.lam
     if lam < t ** (-1.0 / 3.0):
         zero = ComplexField(g, np.zeros(g.shape, dtype=complex), t)
         return HypEllSplit(zero, piece.plus_part, lam, t)
-    v = z_coordinate(g, t) / t
     chi = plateau_cutoff((v - 3 * lam**2) / (3 * lam**2 * width))
     hyp = ComplexField(g, chi * piece.plus_part.samples, t)
     ell = ComplexField(g, piece.plus_part.samples - hyp.samples, t)
@@ -238,7 +242,7 @@ def _scale_row(piece: _Spectrum, lam: float, v: np.ndarray, width: float,
     the coefficients of its hyperbolic part to u_hyp and hyp_coeffs, and
     drops each of its fields once read."""
     g, t, samples = piece.grid, piece.time_tag, piece.inv(1.0)  # not cached on the piece
-    split = hyperbolic_elliptic_split(DyadicPiece(lam, piece.field(samples)), width)
+    split = _cut(DyadicPiece(lam, piece.field(samples)), v, width)
     ell_weighted = l2_norm(piece.field(_bracket(v / lam**2) * split.ell.samples))
     hyp, l2 = _Spectrum.of(split.hyp), l2_norm(piece.field(samples))
     del split, samples

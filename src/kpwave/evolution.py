@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy import fft as sfft
+from numpy import fft as npfft
 
 from .errors import DomainError, InvalidInputError, StepFailureError
 from .grids import (
@@ -348,8 +348,8 @@ def _flux(grid: Grid2D, linearized: bool = False):
 
     def flux(w, u=None, out=None):
         np.multiply(w, w if u is None else u, out=w)
-        c = sfft.rfft(w, axis=1)
-        sfft.fft(c[:, :cols], axis=0, overwrite_x=True)
+        c = npfft.rfft(w, axis=1)
+        npfft.fft(c[:, :cols], axis=0, out=c[:, :cols])
         return np.multiply(c, neg_dx, out=c if out is None else out)
     return flux
 
@@ -506,7 +506,7 @@ def galilean_fourier_map(F: SpectralField, c: float) -> SpectralField:
             "inadmissible Galilean parameter: c*Ly must be an integer "
             f"multiple of Lx (got c*Ly/Lx = {ratio})")
     m = int(round(ratio))
-    jj = np.rint(sfft.fftfreq(g.nx) * g.nx).astype(int)
+    jj = np.rint(npfft.fftfreq(g.nx) * g.nx).astype(int)
     cols = (np.arange(g.ny)[None, :] + (m * jj)[:, None]) % g.ny
     sheared = F.coeffs[np.arange(g.nx)[:, None], cols]
     t = F.time_tag

@@ -12,10 +12,15 @@ Conventions fixed here and relied on everywhere else:
 * One transform pair, `spectrum`/`samples_of`, gives raw coefficients
   (1/(nx*ny) normalized, no physical phase): the rfft2 half spectrum (the
   first ny//2 + 1 columns) of a real field, the fft2 lattice of a complex
-  one.  A half spectrum is inverted by an x pass and a y pass.  A caller
-  that owns a fresh buffer (a symbol product, a flowed spectrum) inverts
-  it in place with `samples_in_place`, which overwrites it; `samples_of`
-  inverts a private copy and leaves its input as it is.  Inside kpwave
+  one.  Each is two of numpy.fft's 1-D passes in scipy.fft's order, with
+  the 1/(nx*ny) factor where scipy applies it, so the bits are scipy's: the
+  half spectrum is an rfft along y, the factor, then an fft along x in
+  place; the lattice an fft along x, the factor, then an fft along y in
+  place.  Either is inverted by an ifft along x in place, then an irfft
+  (or an ifft in place) along y, with no factor.  A caller that owns a
+  fresh buffer (a symbol product, a flowed spectrum) inverts it in place
+  with `samples_in_place`, which overwrites it; `samples_of` inverts a
+  private copy and leaves its input as it is.  Inside kpwave
   every operation is a diagonal symbol product or a Parseval sum, which
   the phase does not change, so the phase exists only where a public
   `SpectralField` enters or leaves (`to_spectral`, `from_spectral`, and
@@ -35,7 +40,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as sfft
+from numpy import fft as npfft
 
 from .errors import DomainError, GridMismatchError, InvalidInputError
 
@@ -96,11 +101,11 @@ class Grid2D:
     @cached_property
     def xi(self) -> np.ndarray:
         """x wavenumbers in FFT order; Nyquist on the negative half."""
-        return 2 * np.pi * sfft.fftfreq(self.nx, d=self.hx)
+        return 2 * np.pi * npfft.fftfreq(self.nx, d=self.hx)
 
     @cached_property
     def eta(self) -> np.ndarray:
-        return 2 * np.pi * sfft.fftfreq(self.ny, d=self.hy)
+        return 2 * np.pi * npfft.fftfreq(self.ny, d=self.hy)
 
     @property
     def XI(self) -> np.ndarray:
@@ -220,37 +225,46 @@ class Multiplier:
 # transforms
 
 
+def _scaled(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """coeffs times 1/n in place, on the float views of the real and
+    imaginary parts, as pocketfft applies its factor; 1/n is the double
+    nearest the long-double quotient, as scipy.fft's norm="forward" has it."""
+    fct = float(1 / np.longdouble(n))
+    for part in (coeffs.real, coeffs.imag):
+        np.multiply(part, fct, out=part)
+    return coeffs
+
+
 def spectrum(samples: np.ndarray) -> np.ndarray:
-    """Raw coefficients: the rfft2 half spectrum of real samples, the fft2
-    lattice of complex ones."""
+    """Raw coefficients: the rfft2 half spectrum of real samples (an rfft
+    along y, scaled, then an fft along x in place), the fft2 lattice of
+    complex ones (an fft along x, scaled, then an fft along y in place)."""
     if np.iscomplexobj(samples):
-        return sfft.fft2(samples, norm="forward")
-    return sfft.rfft2(samples, norm="forward")
+        c = _scaled(npfft.fft(samples, axis=0), samples.size)
+        return npfft.fft(c, axis=1, out=c)
+    c = _scaled(npfft.rfft(samples, axis=1), samples.size)
+    return npfft.fft(c, axis=0, out=c)
 
 
 def samples_of(coeffs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """The inverse of `spectrum`: real samples of a half spectrum, complex
     ones of a full lattice; `coeffs` is left as it is."""
-    if coeffs.shape == shape:
-        return sfft.ifft2(coeffs, norm="forward")
     return samples_in_place(coeffs.copy(), shape[1])
 
 
 def samples_in_place(coeffs: np.ndarray, ny: int) -> np.ndarray:
     """`samples_of` for coefficients its caller gives up, which this
-    overwrites: a full lattice (ny columns) by ifft2 in place, a half
-    spectrum by an ifft along x in place, then an irfft along y.  That is
-    irfft2's arithmetic (bit for bit) without the complex temporary its x
-    pass allocates."""
-    if coeffs.shape[1] == ny:
-        return sfft.ifft2(coeffs, norm="forward", overwrite_x=True)
-    c = sfft.ifft(coeffs, axis=0, norm="forward", overwrite_x=True)
-    return sfft.irfft(c, n=ny, axis=1, norm="forward", overwrite_x=True)
+    overwrites: an ifft along x in place, then along y an ifft in place (a
+    full lattice, ny columns) or an irfft (a half spectrum)."""
+    c = npfft.ifft(coeffs, axis=0, norm="forward", out=coeffs)
+    if c.shape[1] == ny:
+        return npfft.ifft(c, axis=1, norm="forward", out=c)
+    return npfft.irfft(c, n=ny, axis=1, norm="forward")
 
 
 def ingest(samples: np.ndarray) -> np.ndarray:
     """The half spectrum of real samples with the xi = 0 row zeroed."""
-    coeffs = sfft.rfft2(samples, norm="forward")
+    coeffs = spectrum(samples)
     coeffs[0] = 0.0
     return coeffs
 

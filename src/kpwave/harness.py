@@ -7,11 +7,11 @@ import csv
 import hashlib
 import json
 import math
+import platform
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from . import __version__
 from .errors import ConfigError, DomainError, InvalidInputError
@@ -409,6 +409,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> 
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "toolkit_version": __version__,
         "linear": linear,
+        "numpy": np.__version__,  # its pocketfft sets every transform's bits
+        "python": platform.python_version(),
         "snapshot_times": [float(t) for t in traj.times],
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
@@ -417,6 +419,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> 
 
 # ---------------------------------------------------------------------------
 # canned experiment suite
+
+def next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n, a fast real FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
 
 def log_times(t0: float, t1: float, per_octave: int = 8) -> tuple[float, ...]:
     """Logarithmically spaced sample times, rounded to 1e-6."""
@@ -443,7 +457,7 @@ def theorem_suite_configs(scale: float = 1.0) -> dict:
 
     def n(v, lo=8):
         k = max(lo, int(v * scale))
-        return 2 * next_fast_len((k + 1) // 2, real=True)
+        return 2 * next_fast_len((k + 1) // 2)
 
     def on_lattice(t, dt):  # the step-lattice time k*dt nearest t
         return round(round(t / dt) * dt, 6)

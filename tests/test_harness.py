@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import platform
 import re
 import tracemalloc
 
@@ -307,6 +308,12 @@ class TestRunExperiment:
         out = run_experiment(small_config(), tmp_path / "v")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["toolkit_version"] == kpwave.__version__
+
+    def test_manifest_records_the_python_and_numpy_versions(self, tmp_path):
+        out = run_experiment(small_config(), tmp_path / "v")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["numpy"] == np.__version__
+        assert manifest["python"] == platform.python_version()
 
     @pytest.mark.parametrize("name, spec, match", [
         ("profile", DiagnosticSpec("decompose", {"times": "abc"}), "decompose.times: expected a list"),

@@ -1,16 +1,18 @@
 """How many FFTs each diagnostic entry point takes: one spectrum per input
 field, and derivatives as symbol products with one inverse each.  And how
 many the stepper, the exact linear jump and ingestion take: half-spectrum
-transforms only.  The 1-D passes are counted by name: a half spectrum is
-inverted by an `ifft` along x and an `irfft` along y, and an IFRK4 flux is
-an `rfft` along y and an `fft` along x over the dealiased columns."""
+transforms only.  Every transform is two 1-D passes, counted by name: a
+real field's half spectrum is an `rfft` along y and an `fft` along x, and
+it is inverted by an `ifft` along x and an `irfft` along y; a complex
+field's lattice is an `fft` (or `ifft`) along each axis; and an IFRK4 flux
+is an `rfft` along y and an `fft` along x over the dealiased columns."""
 
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.fft
+import numpy.fft
 
 from kpwave.decompose import pointwise_profile
 from kpwave.evolution import (
@@ -32,15 +34,15 @@ FFT_FUNCS = ("fft", "ifft", "rfft", "irfft",
 
 
 class _CountingFFT:
-    """Stands in for `scipy.fft` inside every kpwave module that calls it
-    and counts transforms, in total and by name."""
+    """Stands in for `numpy.fft` inside every kpwave module that calls it
+    and counts 1-D passes, in total and by name."""
 
     def __init__(self):
         self.calls = 0
         self.names = Counter()
 
     def __getattr__(self, name):
-        fn = getattr(scipy.fft, name)
+        fn = getattr(numpy.fft, name)
         if name not in FFT_FUNCS:
             return fn
 
@@ -55,8 +57,8 @@ class _CountingFFT:
 def fft_count(monkeypatch):
     counter = _CountingFFT()
     for name, module in list(sys.modules.items()):
-        if name.startswith("kpwave") and getattr(module, "sfft", None) is scipy.fft:
-            monkeypatch.setattr(module, "sfft", counter)
+        if name.startswith("kpwave") and getattr(module, "npfft", None) is numpy.fft:
+            monkeypatch.setattr(module, "npfft", counter)
     return counter
 
 
@@ -77,7 +79,7 @@ def test_x_norm(fft_count):
     x_norm(u, 2.0)
     # 7 transforms, all of a real field's half spectrum; a chain of
     # `derivative` calls took 18
-    assert fft_count.names == Counter(rfft2=2, ifft=5, irfft=5)
+    assert fft_count.names == Counter(rfft=2, fft=2, ifft=5, irfft=5)
 
 
 def test_pointwise_profile(fft_count):
@@ -87,7 +89,7 @@ def test_pointwise_profile(fft_count):
     fft_count.names.clear()
     pointwise_profile(u, 4.0)
     # 28 transforms; a chain of `derivative` calls took 62
-    assert fft_count.names == Counter(rfft2=4, fft2=3, ifft2=14, ifft=7, irfft=7)
+    assert fft_count.names == Counter(rfft=4, fft=10, ifft=35, irfft=7)
 
 
 def test_gamma_and_reconstruction_error_per_sample(fft_count, tmp_path):
@@ -97,7 +99,7 @@ def test_gamma_and_reconstruction_error_per_sample(fft_count, tmp_path):
     _DIAG_RUNNERS["gamma"](traj, {"rays": [(-3.0, 0.0)], "t_min": 1.0}, tmp_path)
     rows = (tmp_path / "gamma.csv").read_text().splitlines()[1:]
     assert len(rows) == 3
-    assert fft_count.calls <= 2 * len(rows)  # 6 per sample through `derivative`
+    assert fft_count.calls <= 4 * len(rows)  # 2 transforms; 6 per sample through `derivative`
 
 
 def test_scattering_residuals(fft_count):
@@ -107,7 +109,7 @@ def test_scattering_residuals(fft_count):
     fft_count.names.clear()
     scattering_residuals(traj, 8.0)
     # 14 transforms; a chain of `derivative` calls took 31
-    assert fft_count.names == Counter(rfft2=6, ifft2=6, ifft=2, irfft=2)
+    assert fft_count.names == Counter(rfft=6, fft=6, ifft=14, irfft=2)
 
 
 def test_nonlinear_evolve(fft_count):
@@ -124,7 +126,7 @@ def test_nonlinear_evolve(fft_count):
         evolve(u0, SolverConfig(dt=0.1, t0=0.0, t_end=1.0, snapshot_stride=stride),
                snapshot_times=times)
         inverses = 4 * nsteps + (times is None or times[-1] == 1.0)
-        assert fft_count.names == Counter(rfft2=1, rfft=4 * nsteps, fft=4 * nsteps,
+        assert fft_count.names == Counter(rfft=4 * nsteps + 1, fft=4 * nsteps + 1,
                                           ifft=inverses, irfft=inverses), times
 
 
@@ -135,7 +137,7 @@ def test_linearized_evolve(fft_count):
     bg, w0 = evolve(pulse(g, 0.1, 2.0, 2.0), cfg), pulse(g, 0.01, 1.0, 1.0)
     fft_count.names.clear()
     evolve_linearized(w0, bg, cfg, snapshot_times=[0.0, 0.5, 1.0])
-    assert fft_count.names == Counter(rfft2=1, rfft=40, fft=40, ifft=41, irfft=41)
+    assert fft_count.names == Counter(rfft=41, fft=41, ifft=41, irfft=41)
 
 
 def test_single_steps_and_nonlinear_term(fft_count):
@@ -149,7 +151,7 @@ def test_single_steps_and_nonlinear_term(fft_count):
     assert fft_count.names == Counter(rfft=4, fft=4, ifft=4, irfft=4)
     fft_count.names.clear()
     nonlinear_term(u)
-    assert fft_count.names == Counter(rfft2=1, rfft=1, fft=1, ifft=1, irfft=1)
+    assert fft_count.names == Counter(rfft=2, fft=2, ifft=1, irfft=1)
 
 
 def test_linear_evolve(fft_count):
@@ -158,10 +160,10 @@ def test_linear_evolve(fft_count):
     u0 = RealField(g, np.random.default_rng(3).standard_normal(g.shape), 0.0)
     times = [0.0, 0.5, 1.0, 2.5]
     linear_run(g, u0, times)
-    assert fft_count.names == Counter(rfft2=1, ifft=len(times), irfft=len(times))
+    assert fft_count.names == Counter(rfft=1, fft=1, ifft=len(times), irfft=len(times))
 
 
 def test_project_field(fft_count):
     g = Grid2D(64, 32, 20.0, 10.0, 0.3, 0.0)
     project_field(RealField(g, np.random.default_rng(4).standard_normal(g.shape), 0.0))
-    assert fft_count.names == Counter(rfft2=1, ifft=1, irfft=1)
+    assert fft_count.names == Counter(rfft=1, fft=1, ifft=1, irfft=1)

@@ -9,7 +9,9 @@ their kpbench end-to-end metrics in alternating pairs.
 
 Each tree is the root of a kpwave checkout.  Every round runs each tree in
 a fresh interpreter that imports kpwave from the tree's `src/`, and the
-order of the trees alternates from round to round.  At the energy grid
+order of the trees alternates from round to round.  The `import` layer is
+the wall time of that first import, numpy's included, and the number of
+scipy modules it loaded.  At the energy grid
 (1024x512) and the packet grid (1024x256) of the canned suite, a worker
 times the transform pair (`spectrum` then `samples_of`), one flux
 evaluation (the product and its dealiased forward transform), one IFRK4
@@ -19,7 +21,8 @@ that experiment's datum flowed linearly to t = 4.  It keeps the median of
 `--repeats` calls, and the `tracemalloc` peak of one more call, untimed.
 The report gives, per tree and layer, the median and interquartile range
 of those round medians in milliseconds, each tree's median over the first
-tree's, and the median of the peaks in MiB.
+tree's, and the median of the peaks in MiB (of the scipy module counts for
+`import`).
 
 With `--kpbench-pairs n`, n pairs of `kpbench/run.py --workload all
 --trace 0` runs follow (seed 9001 + i for pair i, tree order alternating),
@@ -68,16 +71,19 @@ def _measure(fn, make_args, repeats: int) -> dict:
 
 
 def worker(root: Path, repeats: int) -> dict:
-    """The median call time in ms and the peak in MiB of every layer, with
-    kpwave imported from `root`/src."""
+    """The import time in ms and the scipy modules it loaded, then the
+    median call time in ms and the peak in MiB of every layer, with kpwave
+    imported from `root`/src."""
     sys.path.insert(0, str(root / "src"))
     import warnings
 
+    start = time.perf_counter()
     from kpwave import decompose, evolution, grids, harness, vfields
 
+    out = {"import": {"ms": 1e3 * (time.perf_counter() - start), "scipy_modules": sum(
+        name == "scipy" or name.startswith("scipy.") for name in sys.modules)}}
     warnings.simplefilter("ignore")  # x_norm's untrusted-coordinate warnings
     cfgs = harness.theorem_suite_configs()
-    out = {}
     cfg = cfgs["profile"]
     u = evolution.evolve(harness.build_initial_data(cfg), cfg.solver, linear=True,
                          snapshot_times=[cfg.solver.t0, PROFILE_TIME]).field_at(PROFILE_TIME)
@@ -136,7 +142,8 @@ def layer_rounds(trees: dict, rounds: int, repeats: int) -> dict:
                  for label, recs in per_tree.items()}
         for label, recs in per_tree.items():
             stats[label]["ratio_to_" + first] = stats[label]["median"] / stats[first]["median"]
-            stats[label]["peak_mib"] = statistics.median(rec[key]["peak_mib"] for rec in recs)
+            for field in per_tree[first][0][key].keys() - {"ms"}:  # the peak, or scipy_modules
+                stats[label][field] = statistics.median(rec[key][field] for rec in recs)
         report[key] = stats
     return report
 
