@@ -18,9 +18,9 @@ from .errors import DomainError, InvalidInputError
 from .grids import (
     ComplexField,
     RealField,
+    check_projected,
     conjugate_mirror,
     full_lattice,
-    is_projected,
     l2_norm,
     samples_in_place,
     spectrum,
@@ -29,6 +29,8 @@ from .bumps import plateau_cutoff, smooth_step
 from .vfields import VectorFieldId, _ly_spectrum, _Spectrum, _vector_field, _x_norm, z_coordinate
 
 BINS_PER_DECADE = 8  # logarithmic v-bins per decade in `pointwise_profile`
+DYADIC_STEP = 1.0  # delta: the pieces sit on the lattice 2^{delta Z}
+PLATEAU_WIDTH = 0.5  # the hyperbolic plateau's half-width, relative to 3 lambda^2
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,6 @@ class LambdaRow:
 @dataclass(frozen=True)
 class PointwiseProfile:
     t: float
-    delta: float
-    width: float
     rows: list = field(default_factory=list)
     lambda_rows: list = field(default_factory=list)
     hyp_weighted: float = 0.0      # ||v^{1/2} Lz+ dx u^{hyp,+}||
@@ -112,9 +112,7 @@ class PointwiseProfile:
 def _plus_coeffs(coeffs: np.ndarray, grid) -> np.ndarray:
     """The full-lattice coefficients of u+ (see `split_sign_frequencies`)
     from the half spectrum of u."""
-    if not is_projected(coeffs):
-        raise InvalidInputError("field must be zero-x-mode projected")
-    c = full_lattice(coeffs, grid.ny)
+    c = full_lattice(check_projected(coeffs), grid.ny)
     nyquist = c[grid.nx // 2] / 2
     c[grid.xi <= 0] = 0.0
     c[grid.nx // 2] = nyquist
@@ -166,7 +164,7 @@ def _dyadic_coeffs(g, c: np.ndarray, delta: float):
             yield 2.0 ** (n * delta), piece_coeffs
 
 
-def dyadic_decompose(u_plus: ComplexField, delta: float = 1.0) -> list[DyadicPiece]:
+def dyadic_decompose(u_plus: ComplexField, delta: float = DYADIC_STEP) -> list[DyadicPiece]:
     """Partition-of-unity decomposition in x-frequency over the 2^{delta Z}
     lattice; the pieces sum back to the input exactly."""
     g, t = u_plus.grid, u_plus.time_tag
@@ -174,7 +172,7 @@ def dyadic_decompose(u_plus: ComplexField, delta: float = 1.0) -> list[DyadicPie
             for lam, c in _dyadic_coeffs(g, spectrum(u_plus.samples), delta)]
 
 
-def hyperbolic_elliptic_split(piece: DyadicPiece, width: float = 0.5) -> HypEllSplit:
+def hyperbolic_elliptic_split(piece: DyadicPiece, width: float = PLATEAU_WIDTH) -> HypEllSplit:
     """Cut the piece with a smooth plateau in v = z/t around 3 lambda^2.
 
     Only defined for t >= 1; scales below the uncertainty threshold
@@ -236,13 +234,13 @@ def _bin_maxima(v: np.ndarray, edges: np.ndarray, fields) -> tuple[np.ndarray, l
     return bins, [np.maximum.reduceat(np.abs(f.ravel()[order]), starts) for f in fields]
 
 
-def _scale_row(piece: _Spectrum, lam: float, v: np.ndarray, width: float,
+def _scale_row(piece: _Spectrum, lam: float, v: np.ndarray,
                u_hyp: np.ndarray, hyp_coeffs: np.ndarray) -> LambdaRow:
     """One dyadic piece's operator estimates.  Adds the real samples and
     the coefficients of its hyperbolic part to u_hyp and hyp_coeffs, and
     drops each of its fields once read."""
     g, t, samples = piece.grid, piece.time_tag, piece.inv(1.0)  # not cached on the piece
-    split = _cut(DyadicPiece(lam, piece.field(samples)), v, width)
+    split = _cut(DyadicPiece(lam, piece.field(samples)), v, PLATEAU_WIDTH)
     ell_weighted = l2_norm(piece.field(_bracket(v / lam**2) * split.ell.samples))
     hyp, l2 = _Spectrum.of(split.hyp), l2_norm(piece.field(samples))
     del split, samples
@@ -258,11 +256,10 @@ def _scale_row(piece: _Spectrum, lam: float, v: np.ndarray, width: float,
     )
 
 
-def pointwise_profile(u: RealField, t: float, delta: float = 1.0,
-                      width: float = 0.5) -> PointwiseProfile:
-    """Profile the decomposed field against the hyperbolic/elliptic bound
-    shapes over logarithmic v-bins, and evaluate the per-scale operator
-    estimates."""
+def pointwise_profile(u: RealField, t: float) -> PointwiseProfile:
+    """Profile the decomposed field (dyadic step `DYADIC_STEP`, plateau
+    width `PLATEAU_WIDTH`) against the hyperbolic/elliptic bound shapes over
+    logarithmic v-bins, and evaluate the per-scale operator estimates."""
     if t < 1:
         raise DomainError("profile defined for t >= 1")
     g = u.grid
@@ -271,8 +268,8 @@ def pointwise_profile(u: RealField, t: float, delta: float = 1.0,
     # u_hyp = 2 Re(hyp_plus), summed piece by piece as real parts, beside
     # hyp_plus's coefficients
     u_hyp, hyp_coeffs = np.zeros(g.shape), np.zeros(g.shape, dtype=complex)
-    lambda_rows = [_scale_row(_Spectrum(g, c, t), lam, v, width, u_hyp, hyp_coeffs)
-                   for lam, c in _dyadic_coeffs(g, _plus_coeffs(S.coeffs, g), delta)
+    lambda_rows = [_scale_row(_Spectrum(g, c, t), lam, v, u_hyp, hyp_coeffs)
+                   for lam, c in _dyadic_coeffs(g, _plus_coeffs(S.coeffs, g), DYADIC_STEP)
                    if lam >= t ** (-1.0 / 3.0)]  # smaller scales are wholly elliptic
     u_hyp *= 2
 
@@ -311,7 +308,7 @@ def pointwise_profile(u: RealField, t: float, delta: float = 1.0,
     ell_third = l2_norm(S.field(inv_v * third))
 
     return PointwiseProfile(
-        t=t, delta=delta, width=width, rows=rows, lambda_rows=lambda_rows,
+        t=t, rows=rows, lambda_rows=lambda_rows,
         hyp_weighted=hyp_weighted, hyp_weighted_rhs=t**-0.5 * xr.total,
         ell_third=ell_third, ell_third_rhs=xr.total,
     )

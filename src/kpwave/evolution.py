@@ -28,13 +28,13 @@ from .grids import (
     Grid2D,
     RealField,
     SpectralField,
+    check_projected,
     dx_symbol,
     forward_transform,
     from_spectral,
     half_l2_squared,
     ingest,
     inverse_transform,
-    is_projected,
     load_snapshot,
     omega_values,
     samples_in_place,
@@ -184,8 +184,7 @@ def snapshot_index(times, t: float, tol: float) -> int | None:
 
 def linear_propagate(F: SpectralField, dt: float) -> SpectralField:
     """Exact linear flow: multiply by exp(i*omega*dt); unitary on L^2."""
-    if not F.is_projected:
-        raise InvalidInputError("field must be zero-x-mode projected")
+    check_projected(F.coeffs)
     return SpectralField(F.grid, _linear_flow(F.coeffs, F.grid, dt), F.time_tag + dt)
 
 
@@ -231,6 +230,11 @@ class _Schedule:
             x = (t - self.t0) / self.dt
             i = round(x) if math.isfinite(x) and abs(x - round(x)) <= LATTICE_TOL else None
         return i if i is not None and i in self else None
+
+    def last_two_times(self) -> list:
+        """The times of the last two snapshots, or of all if there are fewer."""
+        k = len(self.steps)
+        return [self.time(self._at(j)) for j in range(max(k - 2, 0), k)]
 
     def around(self, i: int) -> tuple:
         """The snapshot indices before and after snapshot i, None past an end."""
@@ -377,16 +381,14 @@ def _march(coeffs: np.ndarray, sched: _Schedule, advance, record) -> list:
 
 def nonlinear_term(u: RealField) -> RealField:
     """-d/dx(u^2/2) under the 2/3-rule mask; exact zero x-mean output."""
-    if not is_projected(spectrum(u.samples)):
-        raise InvalidInputError("field must be zero-x-mode projected")
+    check_projected(spectrum(u.samples))
     g = u.grid
     return RealField(g, samples_in_place(_flux(g)(u.samples.copy()), g.ny), u.time_tag)
 
 
 def step_nonlinear(F: SpectralField, dt: float) -> SpectralField:
     """One IFRK4 step of the full equation; formal order 4."""
-    if not F.is_projected:
-        raise InvalidInputError("field must be zero-x-mode projected")
+    check_projected(F.coeffs)
     if not dt > 0:
         raise InvalidInputError("dt must be positive")
     return _march(from_spectral(F), _Schedule(F.time_tag, dt, 1, (1,)),
@@ -426,8 +428,7 @@ class BackgroundInterpolator:
 
 def step_linearized(w: SpectralField, background: Trajectory, dt: float) -> SpectralField:
     """One IFRK4 step of the flow linearized around a background solution."""
-    if not w.is_projected:
-        raise InvalidInputError("field must be zero-x-mode projected")
+    check_projected(w.coeffs)
     bg, t = BackgroundInterpolator(background), w.time_tag
     if not bg.covers(min(t, t + dt), max(t, t + dt)):
         raise DomainError("background trajectory does not cover the step")

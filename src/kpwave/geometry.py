@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grids import Grid2D, dispersion_omega
+from .vfields import z_coordinate
 
 TRIAD_TOL = 1e-12
 SQRT3 = math.sqrt(3.0)
@@ -65,9 +66,7 @@ def phase_phi(t: float, x: float, y: float) -> float:
 def phase_phi_grid(grid: Grid2D, t: float) -> np.ndarray:
     """Phase on the centered grid; z clamped to 0 outside the propagation
     region (callers multiply by cutoffs supported in z > 0)."""
-    if not t > 0:
-        raise DomainError("phase defined for t > 0")
-    z = np.maximum(-grid.XA + grid.YA**2 / (4 * t), 0.0)
+    z = np.maximum(z_coordinate(grid, t), 0.0)
     return -(2.0 / (3.0 * SQRT3)) * z**1.5 / math.sqrt(t)
 
 

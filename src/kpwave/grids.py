@@ -201,11 +201,6 @@ class SpectralField:
             raise InvalidInputError("non-finite coefficients")
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def is_projected(self) -> bool:
-        """True iff the xi = 0 line is negligible (see `is_projected`)."""
-        return is_projected(self.coeffs)
-
 
 @dataclass(frozen=True)
 class Multiplier:
@@ -299,6 +294,13 @@ def is_projected(coeffs: np.ndarray) -> bool:
     relative to the largest coefficient), on a half or a full lattice."""
     scale = np.abs(coeffs).max()
     return bool(scale == 0 or np.abs(coeffs[0]).max() <= 1e-13 * scale)
+
+
+def check_projected(coeffs: np.ndarray) -> np.ndarray:
+    """`coeffs` if `is_projected`, else `InvalidInputError`: the one zero-x-mode entry check."""
+    if not is_projected(coeffs):
+        raise InvalidInputError("field must be zero-x-mode projected")
+    return coeffs
 
 
 def half_l2_squared(coeffs: np.ndarray) -> float:

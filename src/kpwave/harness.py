@@ -31,8 +31,9 @@ from .grids import (
     sup_norm,
 )
 from .decompose import pointwise_profile
-from .packets import GammaSeries, PacketParams, _pair, _ray_point, gamma_dot_series
-from .scattering import BandProjection, extract_scatter_data, scattering_residuals
+from .packets import GammaSeries, PacketParams, _pair, _packet_support, _ray_point, gamma_dot_series
+from .scattering import (LATE_FRACTION, BandProjection, drift_start, extract_scatter_data,
+                         scattering_residuals)
 from .vfields import _Spectrum, derivative, x_norm
 
 
@@ -262,12 +263,17 @@ def _diag_sup(traj: Trajectory, params: dict, out: Path) -> None:
     _write_csv(out / "sup.csv", ["t[code-units]", "sup_u", "sup_ux"], rows)
 
 
+def _sampled(vel: RayVelocity, t: float, t_min: float) -> bool:
+    """Whether `gamma` samples the ray at t: t >= t_min and v >= t^(-2/3)."""
+    return t >= t_min and vel.valid_at(t)
+
+
 def _diag_gamma(traj: Trajectory, params: dict, out: Path) -> None:
     rays = [RayVelocity(*r) for r in params["rays"]]
     samples = [[] for _ in rays]
     for s in traj.snapshots:
         t = float(s.time_tag)
-        live = [i for i, vel in enumerate(rays) if t >= params["t_min"] and vel.valid_at(t)]
+        live = [i for i, vel in enumerate(rays) if _sampled(vel, t, params["t_min"])]
         ux = _Spectrum.of(s).d(1) if live else None  # one spectrum serves every ray
         for i in live:
             samples[i].append((t, *_pair(ux, PacketParams(rays[i], t))))
@@ -328,14 +334,15 @@ _DIAG_RUNNERS = {
 
 
 def _check_rays(grid: Grid2D, sched, rays, t_min) -> None:
-    """Refuse a `t_min` that is not a finite number, and a ray whose point
-    leaves the trusted central half-box at a snapshot `_diag_gamma` samples."""
+    """Refuse a `t_min` that is not a finite number, and a ray whose point or
+    packet support leaves the trusted central half-box when `_sampled`."""
     if not (_is_a(float, t_min) and math.isfinite(t_min)):
         raise ConfigError(f"diagnostics.gamma.t_min: expected a finite number, got {t_min!r}")
     for vel in [RayVelocity(*r) for r in rays]:
-        for t in (t for t in map(sched.time, sched) if t >= t_min and vel.valid_at(t)):
+        for t in (t for t in map(sched.time, sched) if _sampled(vel, t, t_min)):
             try:
                 _ray_point(vel, t, grid)
+                _packet_support(PacketParams(vel, t), grid)
             except DomainError as exc:
                 raise ConfigError(f"diagnostics.gamma.rays: ray ({vel.v1}, {vel.v2}) "
                                   f"at t={t}: {exc}") from exc
@@ -345,10 +352,11 @@ def _resolve_diagnostics(cfg: ExperimentConfig, linear: bool) -> list:
     """Each diagnostic's complete parameters (`DiagnosticSpec.settings`),
     checked before any evolution; `times` default to every snapshot time
     >= 1, for `scatter` every interior one.  Refused besides `_check_rays`:
-    `times` that are not a list of numbers, a time below 1 or not a snapshot
-    time, and a `scatter` time without a snapshot on each side or where the
-    band at it or at either of those snapshots is below 1, is empty or has
-    its quadratic product reach below twice its lower edge."""
+    `times` that are not a nonempty list of numbers, a time below 1 or not a
+    snapshot time, a `scatter` time without a snapshot on each side or where
+    the band at it or at either of those snapshots is below 1, is empty or
+    has its quadratic product reach below twice its lower edge, and
+    snapshots that form no `scatter` drift series (`drift_start`)."""
     sched = _schedule(cfg.solver, cfg.snapshot_times, linear)
     resolved = []
     for ds in cfg.diagnostics:
@@ -360,8 +368,8 @@ def _resolve_diagnostics(cfg: ExperimentConfig, linear: bool) -> list:
             continue
         times = params["times"]
         if not (times is None or isinstance(times, (list, tuple))
-                and all(_is_a(float, t) for t in times)):
-            raise ConfigError(f"{key}.times: expected a list of numbers, got {times!r}")
+                and times and all(_is_a(float, t) for t in times)):
+            raise ConfigError(f"{key}.times: expected a list of one or more numbers, got {times!r}")
         params["times"] = times = list(times or (
             float(sched.time(i)) for i in sched if sched.time(i) >= 1
             and (ds.kind == "decompose" or None not in sched.around(i))))
@@ -380,8 +388,12 @@ def _resolve_diagnostics(cfg: ExperimentConfig, linear: bool) -> list:
                     try:
                         BandProjection(tj).check_product(cfg.grid)
                     except (DomainError, InvalidInputError) as exc:
-                        raise ConfigError(f"{key}.times: t={t}: "
-                                          f"at {where}, t={tj}: {exc}") from exc
+                        raise ConfigError(f"{key}.times: t={t}: at {where}, t={tj}: {exc}") from exc
+        if ds.kind == "scatter":  # the drift series `extract_scatter_data` forms
+            try:
+                drift_start(last := sched.last_two_times(), LATE_FRACTION)
+            except InvalidInputError as exc:
+                raise ConfigError(f"{key}: the last snapshots are at t={last}: {exc}") from exc
     return resolved
 
 

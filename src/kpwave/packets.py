@@ -42,26 +42,32 @@ class PacketParams:
     def lambda2(self) -> float:
         return self.t**-0.5 * self.vel.v**0.25
 
+    def alpha(self, grid: Grid2D, cols) -> np.ndarray:
+        """The envelope coordinate lambda1 (z - v t), on the columns `cols`."""
+        return self.lambda1 * (z_coordinate(grid, self.t, cols) - self.vel.v * self.t)
 
-def _packet_coords(p: PacketParams, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope coordinates (alpha, beta) on the centered grid."""
-    t, v, v2 = p.t, p.vel.v, p.vel.v2
-    z = z_coordinate(grid, t)
-    alpha = p.lambda1 * (z - v * t)
-    beta = p.lambda2 * (grid.YA - v2 * t)
-    return alpha, beta
+    def beta(self, grid: Grid2D) -> np.ndarray:
+        """The envelope coordinate lambda2 (y - v2 t), over y: it is constant in x."""
+        return self.lambda2 * (grid.y - self.vel.v2 * self.t)
 
 
-def _check_support(grid: Grid2D, chi: np.ndarray) -> None:
-    if np.count_nonzero(chi) != np.count_nonzero(chi[_central_half_box(grid)]):
+def _packet_support(p: PacketParams, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """The columns where bump(beta) is nonzero, and the envelope chi = bump(alpha)
+    bump(beta) on them; `DomainError` if its support leaves the central half-box."""
+    bump_beta = bump_normalized(p.beta(grid))
+    cols = np.flatnonzero(bump_beta)
+    chi = bump_normalized(p.alpha(grid, cols)) * bump_beta[cols]
+    rows, ys = _central_half_box(grid)
+    if np.count_nonzero(chi) != np.count_nonzero(chi[rows, (ys.start <= cols) & (cols < ys.stop)]):
         raise DomainError("packet support leaves the central half-box")
+    return cols, chi
 
 
 def packet_leading(p: PacketParams, grid: Grid2D) -> ComplexField:
     """The leading-order form chi * e^{i phi} of the packet."""
-    alpha, beta = _packet_coords(p, grid)
-    chi = bump_normalized(alpha) * bump_normalized(beta)
-    _check_support(grid, chi)
+    cols, chi_cols = _packet_support(p, grid)
+    chi = np.zeros(grid.shape)
+    chi[:, cols] = chi_cols
     return ComplexField(grid, chi * np.exp(1j * phase_phi_grid(grid, p.t)), p.t)
 
 
@@ -109,7 +115,7 @@ def _leading_bracket(p: PacketParams, grid: Grid2D) -> ComplexField:
     cancellation, the O(1/t) part collapses in envelope coordinates to
     t^{-1} [chi + (alpha chi_a + beta chi_b)/2 + i sqrt(3)(chi_aa + chi_bb)].
     """
-    alpha, beta = _packet_coords(p, grid)
+    alpha, beta = p.alpha(grid, slice(None)), p.beta(grid)
     ba, bb = bump_normalized(alpha), bump_normalized(beta)
     chi = ba * bb
     chi_a = bump_d1(alpha) * bb

@@ -14,14 +14,15 @@ from .decompose import _plus_coeffs
 from .grids import (
     ComplexField,
     RealField,
-    is_projected,
+    check_projected,
     l2_norm,
     samples_in_place,
     spectrum,
 )
 from .vfields import _Spectrum, _symbol
 
-DEFAULT_ALPHA = 1.0 / 6.0
+DEFAULT_ALPHA = 1.0 / 6.0  # the band exponent
+LATE_FRACTION = 0.25  # a drift series starts at t >= LATE_FRACTION * the last time
 _CONTENT_TOL = 1e-12
 
 
@@ -83,8 +84,7 @@ class ScatterReport:
 
 def _band(coeffs: np.ndarray, grid, bp: BandProjection) -> np.ndarray:
     """The raw coefficients of a projected field kept by the band."""
-    if not is_projected(coeffs):
-        raise InvalidInputError("field must be zero-x-mode projected")
+    check_projected(coeffs)
     return np.where(bp.rows(grid)[:, None], coeffs, 0.0)
 
 
@@ -131,10 +131,10 @@ def compute_umod(w_plus: ComplexField, lower: float) -> RealField:
     return RealField(g, samples_in_place(coeffs, g.ny), w_plus.time_tag)
 
 
-def scattering_residuals(traj: Trajectory, t: float,
-                         alpha: float = DEFAULT_ALPHA) -> ScatterReport:
+def scattering_residuals(traj: Trajectory, t: float) -> ScatterReport:
     """Measure how well the band-quadratic term shadows the full nonlinearity
-    and how well the correction absorbs it under the flow at time t.
+    and how well the correction absorbs it under the flow at time t, on the
+    bands of exponent `DEFAULT_ALPHA`.
 
     The time derivative of the correction is taken by centered differences
     of the fully composed quantity at the bracketing snapshots, so the
@@ -149,7 +149,7 @@ def scattering_residuals(traj: Trajectory, t: float,
     spectra = {j: _Spectrum.of(traj.snapshots[j]) for j in (idx - 1, idx, idx + 1)}
 
     def umod_at(j: int, tj: float) -> tuple[np.ndarray, np.ndarray]:
-        bp = BandProjection(tj, alpha)
+        bp = BandProjection(tj)
         plus = _plus_coeffs(_band(spectra[j].coeffs, g, bp), g)
         return _umod(_Spectrum(g, plus, tj), bp.lower)
 
@@ -166,20 +166,23 @@ def scattering_residuals(traj: Trajectory, t: float,
                          back_propagated_data_drift=_Spectrum(g, b_here - b_prev, 0.0).l2())
 
 
-def extract_scatter_data(traj: Trajectory, min_fraction: float = 0.25
-                         ) -> tuple[RealField, list]:
-    """Pull each late snapshot back to time zero through the exact linear
-    flow; successive L^2 distances form a Cauchy-sequence diagnostic and the
-    last pullback is the asymptotic data surrogate."""
-    times = traj.times
-    late = [s for s in traj.snapshots if s.time_tag >= times[-1] * min_fraction]
-    if len(late) < 2:
+def drift_start(times, min_fraction: float) -> int:
+    """The index of the first late (t >= min_fraction * times[-1]) of the
+    increasing `times`; `InvalidInputError` unless the last two are late."""
+    if len(times) < 2 or times[-2] < times[-1] * min_fraction:
         raise InvalidInputError("too few late snapshots for a drift series")
+    return int(np.searchsorted(times, times[-1] * min_fraction))
+
+
+def extract_scatter_data(traj: Trajectory, min_fraction: float = LATE_FRACTION
+                         ) -> tuple[RealField, list]:
+    """Pull each late snapshot (`drift_start`) back to time zero through the
+    exact linear flow; successive L^2 distances form a Cauchy-sequence
+    diagnostic and the last pullback is the asymptotic data surrogate."""
+    late = traj.snapshots[drift_start(traj.times, min_fraction):]
     g, drift_series, prev = late[0].grid, [], None
     for s in late:  # one pullback at a time: only the previous one is kept
-        if not is_projected(c := spectrum(s.samples)):
-            raise InvalidInputError("field must be zero-x-mode projected")
-        back = _linear_flow(c, g, -s.time_tag)
+        back = _linear_flow(check_projected(spectrum(s.samples)), g, -s.time_tag)
         if prev is not None:
             drift_series.append((float(s.time_tag), _Spectrum(g, back - prev, 0.0).l2()))
         prev = back

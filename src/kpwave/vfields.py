@@ -174,11 +174,11 @@ def leakage_fraction(field) -> float:
     return _share_outside(field.samples, _central_half_box(field.grid))
 
 
-def z_coordinate(grid, t: float) -> np.ndarray:
-    """z = -x + y^2/(4t) in absolute coordinates."""
+def z_coordinate(grid, t: float, cols=slice(None)) -> np.ndarray:
+    """z = -x + y^2/(4t) in absolute coordinates, on the columns `cols`."""
     if not t > 0:
         raise DomainError("z coordinate requires t > 0")
-    return -grid.XA + grid.YA**2 / (4 * t)
+    return -grid.x[:, None] + grid.y[cols] ** 2 / (4 * t)
 
 
 def _vector_field(vfid: VectorFieldId, S: _Spectrum) -> np.ndarray:

@@ -43,6 +43,8 @@ from kpwave.grids import (
     spectral_l2_norm,
     sup_norm,
 )
+from kpwave.decompose import split_sign_frequencies
+from kpwave.scattering import BandProjection, band_project, extract_scatter_data
 from kpwave.vfields import derivative, sup_norm as _unused_sup  # noqa: F401
 
 from conftest import gaussian_field, random_field, random_spectral
@@ -87,6 +89,35 @@ class TestLinearPropagate:
         c[0, 1] = c[0, -1] = 1.0
         with pytest.raises(InvalidInputError):
             linear_propagate(SpectralField(grid, c, 0.0), 1.0)
+
+
+class TestZeroXModeRefusal:
+    """Every entry that needs 1/dx refuses a field with an x-mean, through
+    one check."""
+
+    ENTRIES = {
+        "linear_propagate": lambda u: linear_propagate(forward_transform(u), 1.0),
+        "nonlinear_term": nonlinear_term,
+        "step_nonlinear": lambda u: step_nonlinear(forward_transform(u), 0.1),
+        "step_linearized": lambda u: step_linearized(forward_transform(u), Trajectory(
+            [RealField(u.grid, np.zeros(u.grid.shape), t) for t in (0.0, 1.0)]), 0.1),
+        "split_sign_frequencies": split_sign_frequencies,
+        "band_project": lambda u: band_project(u, BandProjection(16.0)),
+        "extract_scatter_data": lambda u: extract_scatter_data(
+            Trajectory([RealField(u.grid, u.samples, t) for t in (1.0, 2.0)])),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_refused(self, grid, rng, entry):
+        u = random_field(grid, rng)
+        u = RealField(grid, u.samples + 0.1 * np.cos(2 * np.pi * grid.YA / grid.Ly), 0.0)
+        with pytest.raises(InvalidInputError, match="field must be zero-x-mode projected"):
+            self.ENTRIES[entry](u)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_step_nonlinear_refuses_a_step_that_is_not_positive(self, grid, rng, dt):
+        with pytest.raises(InvalidInputError, match="dt must be positive"):
+            step_nonlinear(random_spectral(grid, rng), dt)
 
 
 class TestNonlinearTerm:

@@ -322,7 +322,10 @@ class TestRunExperiment:
         ("scatter", DiagnosticSpec("scatter", {"times": ["8.0"]}), "scatter.times: expected a list"),
         ("conservation", DiagnosticSpec("gamma", {"t_min": "x"}), "gamma.t_min: expected a finite"),
         ("conservation", DiagnosticSpec("gamma", {"t_min": math.nan}), "gamma.t_min: expected"),
-        ("conservation", DiagnosticSpec("gamma", {"t_min": None}), "gamma.t_min: expected")])
+        ("conservation", DiagnosticSpec("gamma", {"t_min": None}), "gamma.t_min: expected"),
+        # an empty list is refused, not read as a request for the default times
+        ("profile", DiagnosticSpec("decompose", {"times": []}), r"decompose.times: .* got \[\]"),
+        ("scatter", DiagnosticSpec("scatter", {"times": []}), r"scatter.times: .* got \[\]")])
     def test_ill_typed_parameters_refused_before_evolving(
             self, tmp_path, monkeypatch, name, spec, match):
         calls = []
@@ -347,6 +350,35 @@ class TestRunExperiment:
                 "outside the trusted central half-box")):
             run_experiment(ending_at(140.0), tmp_path / "run")
         assert calls == [] and not list(tmp_path.rglob("*.csv"))
+
+    def test_gamma_packet_leaving_the_trusted_box_refused_before_evolving(
+            self, tmp_path, monkeypatch):
+        # at t = 131.5 the ray point x = -394.5 sits 234.5 from x0 = -160, within
+        # Lx/4 = 240, but the packet's support reaches past it
+        calls = []
+        monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(a))
+        cfg = theorem_suite_configs()["packet"]
+        cfg = dataclasses.replace(cfg, linear=True, snapshot_times=(0.0, 131.5),
+                                  solver=dataclasses.replace(cfg.solver, t_end=131.5))
+        with pytest.raises(ConfigError, match=re.escape(
+                "diagnostics.gamma.rays: ray (-3.0, 0.0) at t=131.5: "
+                "packet support leaves the central half-box")):
+            run_experiment(cfg, tmp_path / "run")
+        assert calls == [] and not list(tmp_path.iterdir())
+
+    def test_scatter_without_a_drift_series_refused_before_evolving(self, tmp_path, monkeypatch):
+        # only t = 100 is at or past t_last/4 = 25: `extract_scatter_data` needs two
+        calls = []
+        monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(a))
+        cfg = theorem_suite_configs()["scatter"]
+        cfg = dataclasses.replace(cfg, linear=True, snapshot_times=(0.0, 1.95, 2.0, 2.05, 100.0),
+                                  solver=dataclasses.replace(cfg.solver, t_end=100.0),
+                                  diagnostics=(DiagnosticSpec("scatter", {"times": [2.0]}),))
+        with pytest.raises(ConfigError, match=re.escape(
+                "diagnostics.scatter: the last snapshots are at t=[2.05, 100.0]: "
+                "too few late snapshots for a drift series")):
+            run_experiment(cfg, tmp_path / "run")
+        assert calls == [] and not list(tmp_path.iterdir())
 
     def test_gamma_skips_a_snapshot_at_t_0(self, tmp_path):
         # no packet exists at t <= 0, whatever t_min says

@@ -179,11 +179,9 @@ def kpbench_pairs(trees: dict, pairs: int, seconds: float) -> dict:
 
 def environment() -> dict:
     import numpy
-    import scipy
 
     return {"nproc": os.cpu_count(), "machine": platform.machine(),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__}
+            "python": platform.python_version(), "numpy": numpy.__version__}
 
 
 def main(argv=None) -> int:
