@@ -50,14 +50,11 @@ def bump_d2(s) -> np.ndarray:
 def smooth_step(s) -> np.ndarray:
     """C^infinity monotone step: 0 for s <= 0, 1 for s >= 1."""
     s = np.asarray(s, dtype=float)
-    lo = s <= 0
-    hi = s >= 1
-    mid = ~(lo | hi)
-    out = np.zeros_like(s)
-    out[hi] = 1.0
-    a = np.exp(-1.0 / np.where(mid, s, 0.5))
-    b = np.exp(-1.0 / np.where(mid, 1.0 - s, 0.5))
-    out[mid] = (a / (a + b))[mid]
+    out = np.where(s >= 1, 1.0, 0.0)
+    mid = ~((s <= 0) | (s >= 1))
+    sm = s[mid]  # the exponentials only where they are not 0 or 1
+    a, b = np.exp(-1.0 / sm), np.exp(-1.0 / (1.0 - sm))
+    out[mid] = a / (a + b)
     return out
 
 

@@ -18,7 +18,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy import fft as npfft
@@ -236,6 +236,11 @@ class _Schedule:
         k = len(self.steps)
         return [self.time(self._at(j)) for j in range(max(k - 2, 0), k)]
 
+    def since(self, pred) -> Iterator[int]:
+        """The snapshot indices from the first whose time meets the monotone `pred`."""
+        n, key = len(self.steps), lambda k: pred(self.time(self._at(k)))
+        return map(self._at, range(bisect_left(range(n), True, key=key), n))
+
     def around(self, i: int) -> tuple:
         """The snapshot indices before and after snapshot i, None past an end."""
         k = bisect_left(self.steps, i)
@@ -243,11 +248,11 @@ class _Schedule:
 
 
 def _schedule(cfg: SolverConfig, snapshot_times, linear: bool = False) -> _Schedule:
-    """A run's snapshots.  A stepping run's are by default every
-    `snapshot_stride` steps and the last; a t_end or requested time off the
-    lattice t0 + i*dt in [t0, t_end] is refused.  The linear jump's are t0,
-    t_end and the requested times in [t0, t_end], each merged into the one
-    before it or into t_end when it names that one."""
+    """A run's snapshots: a stepping run's every `snapshot_stride` steps and
+    the last, or the requested ones, the last ending the run, a t_end or
+    requested time off the lattice t0 + i*dt in [t0, t_end] refused; the
+    linear jump's t0, t_end and the requested times in [t0, t_end], each
+    merged into the one before it or into t_end when it names that one."""
     if linear:
         tol, times = LATTICE_TOL * cfg.dt, [cfg.t0]
         for t in sorted(snapshot_times or ()):
@@ -273,9 +278,9 @@ def _schedule(cfg: SolverConfig, snapshot_times, linear: bool = False) -> _Sched
         return i
 
     nsteps, stride = step(cfg.t_end, "t_end"), cfg.snapshot_stride
-    return _Schedule(cfg.t0, cfg.dt, nsteps, range(0, nsteps + stride, stride)
-                     if snapshot_times is None else
-                     tuple(sorted({step(t, "snapshot time") for t in snapshot_times})))
+    steps = (range(0, nsteps + stride, stride) if snapshot_times is None
+             else tuple(sorted({step(t, "snapshot time") for t in snapshot_times})))
+    return _Schedule(cfg.t0, cfg.dt, min(steps[-1], nsteps) if steps else 0, steps)
 
 
 class _Workspace:
@@ -439,11 +444,11 @@ def step_linearized(w: SpectralField, background: Trajectory, dt: float) -> Spec
 def evolve(u0: RealField, cfg: SolverConfig,
            snapshot_times: list[float] | None = None,
            linear: bool = False) -> Trajectory:
-    """Integrate from t0 to t_end, storing the snapshots of `_schedule`:
-    IFRK4 takes whole steps, by default recording every `snapshot_stride`
-    steps and the last, tagged t0 + i*dt; with `linear=True` the exact
-    propagator jumps to t0, t_end and each requested time between.  A time
-    that `_schedule` refuses raises `InvalidInputError` before any step."""
+    """Integrate from t0, storing the snapshots of `_schedule`: IFRK4 takes
+    whole steps to t_end (or to the last requested time), by default
+    recording every `snapshot_stride` steps and the last, tagged t0 + i*dt;
+    with `linear=True` the exact propagator jumps to t0, t_end and each
+    requested time between.  A refused time raises `InvalidInputError` first."""
     sched = _schedule(cfg, snapshot_times, linear)
     g = u0.grid
     if linear:

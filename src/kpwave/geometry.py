@@ -63,10 +63,10 @@ def phase_phi(t: float, x: float, y: float) -> float:
     return -(2.0 / (3.0 * SQRT3)) * z**1.5 / math.sqrt(t)
 
 
-def phase_phi_grid(grid: Grid2D, t: float) -> np.ndarray:
-    """Phase on the centered grid; z clamped to 0 outside the propagation
-    region (callers multiply by cutoffs supported in z > 0)."""
-    z = np.maximum(z_coordinate(grid, t), 0.0)
+def phase_phi_grid(grid: Grid2D, t: float, cols=slice(None)) -> np.ndarray:
+    """Phase on the centered grid's columns `cols`; z clamped to 0 outside
+    the propagation region (callers multiply by cutoffs supported in z > 0)."""
+    z = np.maximum(z_coordinate(grid, t, cols), 0.0)
     return -(2.0 / (3.0 * SQRT3)) * z**1.5 / math.sqrt(t)
 
 

@@ -274,7 +274,8 @@ def _diag_gamma(traj: Trajectory, params: dict, out: Path) -> None:
     for s in traj.snapshots:
         t = float(s.time_tag)
         live = [i for i, vel in enumerate(rays) if _sampled(vel, t, params["t_min"])]
-        ux = _Spectrum.of(s).d(1) if live else None  # one spectrum serves every ray
+        ux = _Spectrum.of(s).d(1) if live else None  # one spectrum serves every ray,
+        uxx = ux and ux.d(1)  # and, held here, one u_xx
         for i in live:
             samples[i].append((t, *_pair(ux, PacketParams(rays[i], t))))
     rows = []
@@ -339,7 +340,7 @@ def _check_rays(grid: Grid2D, sched, rays, t_min) -> None:
     if not (_is_a(float, t_min) and math.isfinite(t_min)):
         raise ConfigError(f"diagnostics.gamma.t_min: expected a finite number, got {t_min!r}")
     for vel in [RayVelocity(*r) for r in rays]:
-        for t in (t for t in map(sched.time, sched) if _sampled(vel, t, t_min)):
+        for t in map(sched.time, sched.since(lambda t: _sampled(vel, t, t_min))):
             try:
                 _ray_point(vel, t, grid)
                 _packet_support(PacketParams(vel, t), grid)

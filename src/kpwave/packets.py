@@ -9,11 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, InvalidInputError
+from .errors import DomainError, InvalidInputError
 from .geometry import RayVelocity, phase_phi, phase_phi_grid
-from .grids import ComplexField, Grid2D, RealField, full_lattice, samples_in_place, spectrum, sup_norm
+from .grids import ComplexField, Grid2D, RealField, l2_inner, samples_in_place, spectrum, sup_norm
 from .bumps import bump_d1, bump_d2, bump_normalized
-from .vfields import _central_half_box, _Spectrum, _symbol, z_coordinate
+from .vfields import _central_half_box, _Spectrum, _symbol, derivative, z_coordinate
 
 SQRT3 = math.sqrt(3.0)
 
@@ -42,33 +42,37 @@ class PacketParams:
     def lambda2(self) -> float:
         return self.t**-0.5 * self.vel.v**0.25
 
-    def alpha(self, grid: Grid2D, cols) -> np.ndarray:
-        """The envelope coordinate lambda1 (z - v t), on the columns `cols`."""
-        return self.lambda1 * (z_coordinate(grid, self.t, cols) - self.vel.v * self.t)
 
-    def beta(self, grid: Grid2D) -> np.ndarray:
-        """The envelope coordinate lambda2 (y - v2 t), over y: it is constant in x."""
-        return self.lambda2 * (grid.y - self.vel.v2 * self.t)
-
-
-def _packet_support(p: PacketParams, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    """The columns where bump(beta) is nonzero, and the envelope chi = bump(alpha)
-    bump(beta) on them; `DomainError` if its support leaves the central half-box."""
-    bump_beta = bump_normalized(p.beta(grid))
-    cols = np.flatnonzero(bump_beta)
-    chi = bump_normalized(p.alpha(grid, cols)) * bump_beta[cols]
+def _packet_support(p: PacketParams, grid: Grid2D) -> tuple:
+    """The columns `cols` where bump(beta) is nonzero and on them alpha =
+    lambda1 (z - v t), beta = lambda2 (y - v2 t), their normalized bumps and
+    the envelope chi, their product; `DomainError` if chi leaves the central half-box."""
+    beta = p.lambda2 * (grid.y - p.vel.v2 * p.t)
+    cols = np.flatnonzero(bump_beta := bump_normalized(beta))
+    alpha = p.lambda1 * (z_coordinate(grid, p.t, cols) - p.vel.v * p.t)
+    chi = (bump_alpha := bump_normalized(alpha)) * bump_beta[cols]
     rows, ys = _central_half_box(grid)
     if np.count_nonzero(chi) != np.count_nonzero(chi[rows, (ys.start <= cols) & (cols < ys.stop)]):
         raise DomainError("packet support leaves the central half-box")
-    return cols, chi
+    return cols, alpha, beta[cols], bump_alpha, bump_beta[cols], chi
+
+
+def _leading(p: PacketParams, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """The support columns, and chi e^{i phi} on them."""
+    cols, *_, chi = _packet_support(p, grid)
+    return cols, chi * np.exp(1j * phase_phi_grid(grid, p.t, cols))
+
+
+def _on_grid(grid: Grid2D, cols: np.ndarray, values: np.ndarray, t: float) -> ComplexField:
+    """The complex field equal to `values` on the columns `cols`, zero elsewhere."""
+    out = np.zeros(grid.shape, dtype=complex)
+    out[:, cols] = values
+    return ComplexField(grid, out, t)
 
 
 def packet_leading(p: PacketParams, grid: Grid2D) -> ComplexField:
     """The leading-order form chi * e^{i phi} of the packet."""
-    cols, chi_cols = _packet_support(p, grid)
-    chi = np.zeros(grid.shape)
-    chi[:, cols] = chi_cols
-    return ComplexField(grid, chi * np.exp(1j * phase_phi_grid(grid, p.t)), p.t)
+    return _on_grid(grid, *_leading(p, grid), p.t)
 
 
 def _packet_coeffs(p: PacketParams, grid: Grid2D) -> np.ndarray:
@@ -83,18 +87,20 @@ def build_packet(p: PacketParams, grid: Grid2D) -> ComplexField:
     return ComplexField(grid, samples_in_place(_packet_coeffs(p, grid), grid.ny), p.t)
 
 
-def _pairing(ux: _Spectrum, psi_coeffs: np.ndarray) -> complex:
-    """The integral of u_x conj(psi), by Parseval: conj(sum psi conj(u_x)) on the full lattice."""
-    g, full = ux.grid, full_lattice(ux.coeffs, ux.grid.ny)
-    return complex(g.Lx * g.Ly * np.einsum("ij,ij->", psi_coeffs, np.conj(full, out=full)).conj())
+def _gamma(uxx: _Spectrum, p: PacketParams) -> complex:
+    """The integral of u_x conj(psi), psi's dx moved onto u_x by parts (dx is skew-adjoint):
+    -i sqrt(3) v^{-1/2} times that of u_xx conj(chi e^{i phi}), on the packet's support."""
+    g = uxx.grid
+    cols, lead = _leading(p, g)
+    return -1j * SQRT3 * p.vel.v**-0.5 * g.hx * g.hy * complex(np.vdot(lead, uxx.samples[:, cols]))
 
 
 def gamma(u: RealField, p: PacketParams, psi: ComplexField | None = None) -> complex:
-    """The packet pairing integral of u_x against the conjugate packet."""
-    if psi is not None and psi.grid != u.grid:
-        raise GridMismatchError("field and packet live on different grids")
-    psi_coeffs = _packet_coeffs(p, u.grid) if psi is None else spectrum(psi.samples)
-    return _pairing(_Spectrum.of(u).d(1), psi_coeffs)
+    """The packet pairing integral of u_x against the conjugate packet, or
+    against `psi` if it is given."""
+    if psi is not None:
+        return l2_inner(derivative(u, dx_order=1), psi)
+    return _gamma(_Spectrum.of(u).d(1).d(1), p)
 
 
 @dataclass(frozen=True)
@@ -115,17 +121,13 @@ def _leading_bracket(p: PacketParams, grid: Grid2D) -> ComplexField:
     cancellation, the O(1/t) part collapses in envelope coordinates to
     t^{-1} [chi + (alpha chi_a + beta chi_b)/2 + i sqrt(3)(chi_aa + chi_bb)].
     """
-    alpha, beta = p.alpha(grid, slice(None)), p.beta(grid)
-    ba, bb = bump_normalized(alpha), bump_normalized(beta)
-    chi = ba * bb
-    chi_a = bump_d1(alpha) * bb
-    chi_b = ba * bump_d1(beta)
-    chi_aa = bump_d2(alpha) * bb
-    chi_bb = ba * bump_d2(beta)
+    cols, alpha, beta, ba, bb, chi = _packet_support(p, grid)
+    chi_a, chi_b = bump_d1(alpha) * bb, ba * bump_d1(beta)
+    chi_aa, chi_bb = bump_d2(alpha) * bb, ba * bump_d2(beta)
     bracket = (chi + 0.5 * (alpha * chi_a + beta * chi_b)
                + 1j * SQRT3 * (chi_aa + chi_bb))
-    phase = np.exp(1j * phase_phi_grid(grid, p.t))
-    return ComplexField(grid, bracket * phase / p.t, p.t)
+    phase = np.exp(1j * phase_phi_grid(grid, p.t, cols))
+    return _on_grid(grid, cols, bracket * phase / p.t, p.t)
 
 
 def packet_residual(p: PacketParams, grid: Grid2D,
@@ -133,8 +135,7 @@ def packet_residual(p: PacketParams, grid: Grid2D,
     """Apply the linear flow operator to the packet and split off the
     explicit leading terms; the time derivative uses centered differences."""
     t = p.t
-    if dt_step is None:
-        dt_step = min(0.01, t / 100)
+    dt_step = min(0.01, t / 100) if dt_step is None else dt_step
     if dt_step > t / 20:
         raise InvalidInputError(
             f"finite-difference step {dt_step} too large relative to t={t}")
@@ -171,22 +172,19 @@ def _ray_point(vel: RayVelocity, t: float, g: Grid2D) -> tuple[float, float]:
 
 
 def _pair(ux: _Spectrum, p: PacketParams) -> tuple:
-    """(gamma, reconstruction error) from the spectrum of u_x: one
-    transform for the packet, and u_x evaluated exactly at the ray point."""
+    """(gamma, reconstruction error) from the spectrum of u_x: gamma by parts
+    against u_xx (`ux.d(1)`, shared while held), and u_x exactly at the ray point."""
     g, t = ux.grid, p.t
     x_ray, y_ray = _ray_point(p.vel, t, g)
-    gam = _pairing(ux, _packet_coeffs(p, g))
+    gam = _gamma(ux.d(1), p)
     recon = 2.0 / t * (cmath.exp(1j * phase_phi(t, x_ray, y_ray)) * gam).real
     return gam, abs(_point_value(ux, x_ray, y_ray) - recon)
 
 
 def reconstruction_error(u: RealField, p: PacketParams) -> float:
-    """|u_x at the ray point - the packet reconstruction| at time t.
-
-    The reconstruction is 2 t^{-1} Re(e^{i phi} gamma) at the ray point;
-    u_x is evaluated there exactly, as the trigonometric polynomial its
-    spectrum defines.
-    """
+    """|u_x - 2 t^{-1} Re(e^{i phi} gamma)| at the ray point at time t, u_x
+    evaluated there exactly, as the trigonometric polynomial its spectrum
+    defines."""
     return _pair(_Spectrum.of(u).d(1), p)[1]
 
 
@@ -198,12 +196,11 @@ class GammaSeries:
     samples: list  # of (t, complex)
 
     def __post_init__(self):
-        times = [t for t, _ in self.samples]
+        times = self.times
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InvalidInputError("sample times must be strictly increasing")
-        for t in times:
-            if not self.vel.valid_at(t):
-                raise DomainError(f"sample at t={t} outside the validity domain")
+        if invalid := [t for t in times if not self.vel.valid_at(t)]:
+            raise DomainError(f"sample at t={invalid[0]} outside the validity domain")
 
     @property
     def times(self) -> list:

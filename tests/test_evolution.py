@@ -220,6 +220,16 @@ class TestExactTimes:
         assert all(i in sched for i in (0, 7, 999_999, 10**6))
         assert 8 not in sched and 10**6 + 7 not in sched
 
+    def test_a_run_ends_at_its_last_requested_time(self, monkeypatch):
+        # stepping on to t_end would take 99 steps that no snapshot keeps
+        times, advance = [], _Workspace.advance
+        monkeypatch.setattr(_Workspace, "advance",
+                            lambda ws, coeffs, t, *a: times.append(t) or advance(ws, coeffs, t, *a))
+        g, cfg = Grid2D(64, 32, 40.0, 20.0, 0.0, 0.0), SolverConfig(dt=0.1, t0=0.0, t_end=10.0)
+        assert _schedule(cfg, [0.0, 0.1]).last == 1
+        traj = evolve(RealField(g, np.zeros(g.shape), 0.0), cfg, snapshot_times=[0.0, 0.1])
+        assert list(traj.times) == [0.0, 0.1] and times == [0.0]
+
     @pytest.mark.parametrize("dt, t_end, steps", [(1e-10, 1e10, "1e+20"), (1e-300, 1e300, "inf")])
     def test_a_run_too_long_to_index_names_its_step_count(self, dt, t_end, steps):
         with pytest.raises(InvalidInputError, match=re.escape(f"takes {steps} steps of dt={dt}")):

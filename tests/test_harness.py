@@ -515,7 +515,7 @@ class TestTheoremSuite:
                 assert s.t0 <= t <= s.t_end, (name, t)
 
     @pytest.mark.parametrize("stride", [1, 3])
-    def test_diagnostic_times_on_a_long_default_schedule(self, stride):
+    def test_diagnostic_times_on_a_long_default_schedule(self, stride, monkeypatch):
         # a million steps with every snapshot step held as a range: nothing
         # lists them, so the check stays small
         solver = SolverConfig(dt=0.5, t0=0.0, t_end=5e5, snapshot_stride=stride)
@@ -545,6 +545,29 @@ class TestTheoremSuite:
         with pytest.raises(ConfigError, match="not a snapshot time"):
             _resolve_diagnostics(small_config(snapshot_times=(), diagnostics=(
                 DiagnosticSpec("scatter", {"times": [0.5]}),)), False)
+        # a gamma ray sampled at no time: its first sampled snapshot is found
+        # by bisection, and no packet support is checked
+        calls = {"_sampled": 0, "_packet_support": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(harness, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(harness, name, counted)
+        _resolve_diagnostics(small_config(solver=solver, snapshot_times=None, diagnostics=(
+            DiagnosticSpec("gamma", {"t_min": 1e9}),)), False)
+        assert 0 < calls["_sampled"] <= math.ceil(math.log2(10**6 + 2))
+        assert calls["_packet_support"] == 0
+
+    def test_gamma_support_checked_from_the_first_sampled_snapshot(self, monkeypatch):
+        checked, check = [], harness._packet_support
+        monkeypatch.setattr(harness, "_packet_support",
+                            lambda p, g: checked.append(p.t) or check(p, g))
+        for linear in (False, True):  # the step lattice, and the linear jump's times
+            for t_min, times in ((0.5, [0.5, 1.0]), (0.6, [1.0]), (0.0, [0.5, 1.0]), (2.0, [])):
+                checked.clear()
+                _resolve_diagnostics(small_config(diagnostics=(
+                    DiagnosticSpec("gamma", {"t_min": t_min}),)), linear)
+                assert checked == times, (linear, t_min)
 
     def test_a_time_names_its_snapshot_under_one_tolerance(self):
         # 5e-10 steps of dt = 100 off the lattice: the schedule, the check

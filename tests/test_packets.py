@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from kpwave.bumps import bump, bump_mass, bump_normalized, plateau_cutoff
+from kpwave.bumps import (
+    bump,
+    bump_d1,
+    bump_d2,
+    bump_mass,
+    bump_normalized,
+    plateau_cutoff,
+    smooth_step,
+)
 from kpwave.decompose import (
     dyadic_decompose,
     hyperbolic_elliptic_split,
@@ -19,10 +27,11 @@ from kpwave.grids import (
     project_field,
     sup_norm,
 )
-from kpwave.harness import fit_decay
+from kpwave.harness import build_initial_data, fit_decay, theorem_suite_configs
 from kpwave.packets import (
     GammaSeries,
     PacketParams,
+    _leading_bracket,
     _pair,
     _point_value,
     build_packet,
@@ -35,6 +44,7 @@ from kpwave.packets import (
 from kpwave.vfields import _Spectrum, derivative, z_coordinate
 
 VEL = RayVelocity(-3.0, 0.0)
+PACKET_TIMES = (10.0, 40.0, 80.0)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::kpwave.vfields.UntrustedFieldWarning")
@@ -69,6 +79,35 @@ def linear_run_t40():
     return traj.snapshots[-1]
 
 
+@pytest.fixture(scope="module")
+def packet_run():
+    """The canned packet experiment's datum (its ray is VEL) flowed linearly
+    to each of PACKET_TIMES."""
+    cfg = theorem_suite_configs()["packet"]
+    return evolve(build_initial_data(cfg), cfg.solver, snapshot_times=[0.0, *PACKET_TIMES],
+                  linear=True)
+
+
+def full_grid_envelope(p, g):
+    """alpha, beta and e^{i phi} evaluated over the whole grid."""
+    alpha = p.lambda1 * (z_coordinate(g, p.t) - p.vel.v * p.t)
+    beta = p.lambda2 * (g.y - p.vel.v2 * p.t)
+    return alpha, beta, np.exp(1j * phase_phi_grid(g, p.t))
+
+
+def spectral_gamma(u, p):
+    """gamma by Parseval: the packet's fft2 times the odd dx symbol i xi
+    (zero on the x-Nyquist row), paired with u_x's full lattice."""
+    g, n = u.grid, u.grid.nx * u.grid.ny
+    alpha, beta, phase = full_grid_envelope(p, g)
+    lead = bump_normalized(alpha) * bump_normalized(beta) * phase
+    dx = 1j * g.xi
+    dx[g.nx // 2] = 0.0
+    psi = -1j * np.sqrt(3.0) * p.vel.v**-0.5 * dx[:, None] * np.fft.fft2(lead) / n
+    ux = np.fft.fft2(derivative(u, dx_order=1).samples) / n
+    return g.Lx * g.Ly * np.vdot(psi, ux)
+
+
 class TestPacketParams:
     def test_scale_product(self):
         for t in (2.0, 10.0, 100.0):
@@ -90,6 +129,21 @@ class TestPacketParams:
         # the rule has converged to roundoff by 100 nodes
         nodes, weights = np.polynomial.legendre.leggauss(100)
         assert weights @ bump(nodes) == pytest.approx(bump_mass(), rel=1e-14, abs=0)
+
+    def test_smooth_step_is_the_whole_array_formula(self):
+        # exponentials taken only inside (0, 1), bit for bit the formula
+        # that takes them over the whole array and keeps them there
+        near = np.concatenate([np.linspace(-1e-12, 1e-12, 2001), [5e-324, -5e-324]])
+        s = np.concatenate([np.linspace(-0.5, 1.5, 200001), near, 1.0 + near, [0.0, 1.0]])
+        mid = ~((s <= 0) | (s >= 1))
+        with np.errstate(over="ignore"):
+            a = np.exp(-1.0 / np.where(mid, s, 0.5))
+            b = np.exp(-1.0 / np.where(mid, 1.0 - s, 0.5))
+            steps = smooth_step(s), smooth_step(np.stack([s, s]))[1]
+        want = np.where(s >= 1, 1.0, 0.0)
+        want[mid] = (a / (a + b))[mid]
+        assert all(np.array_equal(step, want) for step in steps)
+        assert smooth_step(0.5) == 0.5 and smooth_step(0.0) == 0.0 and smooth_step(1.0) == 1.0
 
     def test_validity_domain(self):
         with pytest.raises(DomainError):
@@ -128,6 +182,22 @@ class TestBuildPacket:
         iy = np.argmin(np.abs(g.y - VEL.v2 * t))
         local = (dx_psi.samples[ix, iy] / psi.samples[ix, iy]).imag
         assert local == pytest.approx(1.0, rel=0.03)
+
+    @pytest.mark.parametrize("t", PACKET_TIMES)
+    def test_leading_forms_are_the_full_grid_evaluation(self, t):
+        # evaluated on the support columns only, bit for bit the whole grid's
+        g, p = theorem_suite_configs()["packet"].grid, PacketParams(VEL, t)
+        alpha, beta, phase = full_grid_envelope(p, g)
+        ba, bb = bump_normalized(alpha), bump_normalized(beta)
+        chi = ba * bb
+        assert np.array_equal(packet_leading(p, g).samples, chi * phase)
+        chi_a = bump_d1(alpha) * bb
+        chi_b = ba * bump_d1(beta)
+        chi_aa = bump_d2(alpha) * bb
+        chi_bb = ba * bump_d2(beta)
+        bracket = (chi + 0.5 * (alpha * chi_a + beta * chi_b)
+                   + 1j * np.sqrt(3.0) * (chi_aa + chi_bb))
+        assert np.array_equal(_leading_bracket(p, g).samples, bracket * phase / t)
 
     def test_support_must_fit(self):
         # envelope support straddling the half-box edge trips the check
@@ -170,6 +240,19 @@ class TestGamma:
         c0 = 0.03 * np.exp(0.7j)
         u = flat_envelope_ux(g, t, c0)
         assert gamma(u, PacketParams(VEL, t)) == pytest.approx(c0, rel=0.02)
+
+    @pytest.mark.parametrize("t", PACKET_TIMES)
+    def test_pairing_by_parts_is_the_spectral_pairing(self, packet_run, t):
+        u, p = packet_run.field_at(t), PacketParams(VEL, t)
+        ref = spectral_gamma(u, p)
+        gam = _pair(_Spectrum.of(u).d(1), p)[0]
+
+        def close(g):
+            return abs(g - ref) <= 1e-12 * abs(ref)
+        assert close(gam)
+        # the bound tells a flipped sign of the by-parts step, or v^{+1/2}
+        # in place of v^{-1/2}, apart
+        assert not close(-gam) and not close(gam * p.vel.v)
 
     def test_reconstruction_error_reuses_pairing(self, linear_run_t40):
         u, p = linear_run_t40, PacketParams(VEL, 40.0)

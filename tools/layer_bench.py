@@ -17,8 +17,11 @@ times the transform pair (`spectrum` then `samples_of`), one flux
 evaluation (the product and its dealiased forward transform), one IFRK4
 step, a `derivative` and an `x_norm`, each on the experiment's initial
 datum; on the profile grid (1024x256) it times a `pointwise_profile` of
-that experiment's datum flowed linearly to t = 4.  It keeps the median of
-`--repeats` calls, and the `tracemalloc` peak of one more call, untimed.
+that experiment's datum flowed linearly to t = 4, and on the packet grid
+one `gamma` sample (`packets._pair`: u_x's spectrum, u_xx and the pairing)
+on that experiment's ray, its datum flowed linearly to t = 40.  It keeps
+the median of `--repeats` calls, and the `tracemalloc` peak of one more
+call, untimed.
 The report gives, per tree and layer, the median and interquartile range
 of those round medians in milliseconds, each tree's median over the first
 tree's, and the median of the peaks in MiB (of the scipy module counts for
@@ -47,6 +50,7 @@ from pathlib import Path
 GRIDS = {"1024x512": "energy", "1024x256": "packet"}
 LAYERS = ("transform_pair", "flux", "ifrk4_step", "derivative", "x_norm")
 PROFILE_TIME = 4.0  # the `pointwise_profile` layer's time, on the profile grid
+GAMMA_TIME = 40.0  # the `gamma` layer's time, on the packet grid
 # which way each end-to-end metric improves, as the benchmark declares it
 BETTER = {m["name"]: m["better"] for m in json.loads(
     (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -78,7 +82,7 @@ def worker(root: Path, repeats: int) -> dict:
     import warnings
 
     start = time.perf_counter()
-    from kpwave import decompose, evolution, grids, harness, vfields
+    from kpwave import decompose, evolution, geometry, grids, harness, packets, vfields
 
     out = {"import": {"ms": 1e3 * (time.perf_counter() - start), "scipy_modules": sum(
         name == "scipy" or name.startswith("scipy.") for name in sys.modules)}}
@@ -89,6 +93,13 @@ def worker(root: Path, repeats: int) -> dict:
                          snapshot_times=[cfg.solver.t0, PROFILE_TIME]).field_at(PROFILE_TIME)
     out[f"{cfg.grid.nx}x{cfg.grid.ny}.pointwise_profile"] = _measure(
         lambda: decompose.pointwise_profile(u, PROFILE_TIME), tuple, repeats)
+    cfg = cfgs["packet"]
+    u = evolution.evolve(harness.build_initial_data(cfg), cfg.solver, linear=True,
+                         snapshot_times=[cfg.solver.t0, GAMMA_TIME]).field_at(GAMMA_TIME)
+    p = packets.PacketParams(geometry.RayVelocity(*cfg.diagnostics[0].settings["rays"][0]),
+                             GAMMA_TIME)
+    out[f"{cfg.grid.nx}x{cfg.grid.ny}.gamma"] = _measure(
+        lambda: packets._pair(vfields._Spectrum.of(u).d(1), p), tuple, repeats)
     for label, name in GRIDS.items():
         cfg = cfgs[name]
         g, dt = cfg.grid, cfg.solver.dt
