@@ -29,7 +29,6 @@ from .bumps import plateau_cutoff, smooth_step
 from .vfields import VectorFieldId, _ly_spectrum, _Spectrum, _vector_field, _x_norm, z_coordinate
 
 BINS_PER_DECADE = 8  # logarithmic v-bins per decade in `pointwise_profile`
-DYADIC_STEP = 1.0  # delta: the pieces sit on the lattice 2^{delta Z}
 PLATEAU_WIDTH = 0.5  # the hyperbolic plateau's half-width, relative to 3 lambda^2
 
 
@@ -132,11 +131,9 @@ def split_sign_frequencies(u: RealField) -> tuple[ComplexField, ComplexField]:
     return u_plus, u_minus
 
 
-def _dyadic_coeffs(g, c: np.ndarray, delta: float):
-    """Yield (lambda, coefficients) of each dyadic piece of the
-    positive-frequency full-lattice coefficients c."""
-    if not (0 < delta <= 1):
-        raise InvalidInputError("delta must lie in (0, 1]")
+def _dyadic_coeffs(g, c: np.ndarray):
+    """Yield (lambda, coefficients) of each dyadic piece, lambda in 2^Z, of
+    the positive-frequency full-lattice coefficients c."""
     scale = np.abs(c).max()
     # the x-Nyquist column may carry the shared half of a real mode; any
     # other non-positive column must be empty
@@ -148,7 +145,7 @@ def _dyadic_coeffs(g, c: np.ndarray, delta: float):
     abs_xi = np.abs(g.xi)
     pos = abs_xi > 0
     ell = np.full(g.nx, -np.inf)
-    ell[pos] = np.log2(abs_xi[pos]) / delta
+    ell[pos] = np.log2(abs_xi[pos])
     live = pos & (np.abs(c).max(axis=1) > 1e-14 * scale)
     if not np.any(live):
         live = pos
@@ -161,18 +158,18 @@ def _dyadic_coeffs(g, c: np.ndarray, delta: float):
         piece_coeffs = c * w[:, None]
         # drop pieces holding only transform roundoff
         if np.abs(piece_coeffs).max() > 1e-14 * scale:
-            yield 2.0 ** (n * delta), piece_coeffs
+            yield 2.0 ** n, piece_coeffs
 
 
-def dyadic_decompose(u_plus: ComplexField, delta: float = DYADIC_STEP) -> list[DyadicPiece]:
-    """Partition-of-unity decomposition in x-frequency over the 2^{delta Z}
-    lattice; the pieces sum back to the input exactly."""
+def dyadic_decompose(u_plus: ComplexField) -> list[DyadicPiece]:
+    """Partition-of-unity decomposition in x-frequency over the dyadic
+    lattice 2^Z; the pieces sum back to the input exactly."""
     g, t = u_plus.grid, u_plus.time_tag
     return [DyadicPiece(lam, ComplexField(g, samples_in_place(c, g.ny), t))
-            for lam, c in _dyadic_coeffs(g, spectrum(u_plus.samples), delta)]
+            for lam, c in _dyadic_coeffs(g, spectrum(u_plus.samples))]
 
 
-def hyperbolic_elliptic_split(piece: DyadicPiece, width: float = PLATEAU_WIDTH) -> HypEllSplit:
+def hyperbolic_elliptic_split(piece: DyadicPiece) -> HypEllSplit:
     """Cut the piece with a smooth plateau in v = z/t around 3 lambda^2.
 
     Only defined for t >= 1; scales below the uncertainty threshold
@@ -181,19 +178,17 @@ def hyperbolic_elliptic_split(piece: DyadicPiece, width: float = PLATEAU_WIDTH) 
     t = piece.t
     if t < 1:
         raise DomainError("hyperbolic/elliptic split defined for t >= 1")
-    return _cut(piece, z_coordinate(piece.plus_part.grid, t) / t, width)
+    return _cut(piece, z_coordinate(piece.plus_part.grid, t) / t)
 
 
-def _cut(piece: DyadicPiece, v: np.ndarray, width: float) -> HypEllSplit:
+def _cut(piece: DyadicPiece, v: np.ndarray) -> HypEllSplit:
     """`hyperbolic_elliptic_split` at the samples' v = z/t, which a caller
     that holds v passes in."""
-    if not width > 0:
-        raise InvalidInputError("width must be positive")
     g, t, lam = piece.plus_part.grid, piece.t, piece.lam
     if lam < t ** (-1.0 / 3.0):
         zero = ComplexField(g, np.zeros(g.shape, dtype=complex), t)
         return HypEllSplit(zero, piece.plus_part, lam, t)
-    chi = plateau_cutoff((v - 3 * lam**2) / (3 * lam**2 * width))
+    chi = plateau_cutoff((v - 3 * lam**2) / (3 * lam**2 * PLATEAU_WIDTH))
     hyp = ComplexField(g, chi * piece.plus_part.samples, t)
     ell = ComplexField(g, piece.plus_part.samples - hyp.samples, t)
     return HypEllSplit(hyp, ell, lam, t)
@@ -240,7 +235,7 @@ def _scale_row(piece: _Spectrum, lam: float, v: np.ndarray,
     the coefficients of its hyperbolic part to u_hyp and hyp_coeffs, and
     drops each of its fields once read."""
     g, t, samples = piece.grid, piece.time_tag, piece.inv(1.0)  # not cached on the piece
-    split = _cut(DyadicPiece(lam, piece.field(samples)), v, PLATEAU_WIDTH)
+    split = _cut(DyadicPiece(lam, piece.field(samples)), v)
     ell_weighted = l2_norm(piece.field(_bracket(v / lam**2) * split.ell.samples))
     hyp, l2 = _Spectrum.of(split.hyp), l2_norm(piece.field(samples))
     del split, samples
@@ -257,8 +252,8 @@ def _scale_row(piece: _Spectrum, lam: float, v: np.ndarray,
 
 
 def pointwise_profile(u: RealField, t: float) -> PointwiseProfile:
-    """Profile the decomposed field (dyadic step `DYADIC_STEP`, plateau
-    width `PLATEAU_WIDTH`) against the hyperbolic/elliptic bound shapes over
+    """Profile the decomposed field (dyadic pieces on 2^Z, plateau width
+    `PLATEAU_WIDTH`) against the hyperbolic/elliptic bound shapes over
     logarithmic v-bins, and evaluate the per-scale operator estimates."""
     if t < 1:
         raise DomainError("profile defined for t >= 1")
@@ -269,7 +264,7 @@ def pointwise_profile(u: RealField, t: float) -> PointwiseProfile:
     # hyp_plus's coefficients
     u_hyp, hyp_coeffs = np.zeros(g.shape), np.zeros(g.shape, dtype=complex)
     lambda_rows = [_scale_row(_Spectrum(g, c, t), lam, v, u_hyp, hyp_coeffs)
-                   for lam, c in _dyadic_coeffs(g, _plus_coeffs(S.coeffs, g), DYADIC_STEP)
+                   for lam, c in _dyadic_coeffs(g, _plus_coeffs(S.coeffs, g))
                    if lam >= t ** (-1.0 / 3.0)]  # smaller scales are wholly elliptic
     u_hyp *= 2
 

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Iterator, get_args, get_origin, get_type_hints
 
@@ -67,8 +67,9 @@ class SolverConfig:
             raise InvalidInputError("need t0 < t_end")
         if self.dt > self.t_end - self.t0:
             raise InvalidInputError("dt exceeds the time interval")
-        if self.snapshot_stride < 1:
-            raise InvalidInputError("snapshot_stride must be >= 1")
+        if not (_is_a(int, self.snapshot_stride) and self.snapshot_stride >= 1):
+            raise InvalidInputError(
+                f"snapshot_stride must be an int >= 1, got {self.snapshot_stride!r}")
 
 
 def _is_a(hint: type, v) -> bool:
@@ -124,7 +125,6 @@ class Trajectory:
 
     snapshots: list[RealField]
     config: SolverConfig | None = None
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -134,30 +134,29 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([s.time_tag for s in self.snapshots])
 
-    def index(self, t: float, tol: float | None = None) -> int:
-        """The snapshot nearest t within `tol`, by default LATTICE_TOL steps of
-        dt (1e-9 without a config); `DomainError` if there is none."""
-        if tol is None:
-            tol = LATTICE_TOL * self.config.dt if self.config else 1e-9
+    def index(self, t: float) -> int:
+        """The snapshot within LATTICE_TOL steps of dt of t (1e-9 without a
+        config); `DomainError` if there is none."""
+        tol = LATTICE_TOL * self.config.dt if self.config else 1e-9
         if (i := snapshot_index(self.times, t, tol)) is None:
             raise DomainError(f"no snapshot at t={t}")
         return i
 
-    def field_at(self, t: float, tol: float | None = None) -> RealField:
-        return self.snapshots[self.index(t, tol)]
+    def field_at(self, t: float) -> RealField:
+        return self.snapshots[self.index(t)]
 
     def nearest_time(self, t: float) -> float:
-        return float(self.times[snapshot_index(self.times, t, math.inf)])
+        """The time of the snapshot nearest t; `DomainError` if there is none."""
+        if (i := snapshot_index(self.times, t, math.inf)) is None:
+            raise DomainError(f"no snapshot near t={t}: the trajectory has none")
+        return float(self.times[i])
 
     def save(self, directory: Path | str) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         for i, s in enumerate(self.snapshots):
             save_snapshot(s, directory / f"snap_{i:05d}")
-        manifest = {
-            "time_tags": [s.time_tag for s in self.snapshots],
-            "provenance": self.provenance,
-        }
+        manifest = {"time_tags": [s.time_tag for s in self.snapshots]}
         if self.config is not None:
             manifest["config"] = asdict(self.config)
         (directory / "manifest.json").write_text(json.dumps(manifest, indent=1))
@@ -170,11 +169,14 @@ class Trajectory:
                  for i in range(len(manifest["time_tags"]))]
         config = load_config(SolverConfig | None, manifest.get("config"),
                              InvalidInputError, "config")
-        return cls(snaps, config, manifest.get("provenance", {}))
+        return cls(snaps, config)
 
 
 def snapshot_index(times, t: float, tol: float) -> int | None:
-    """The index of the entry of `times` nearest t, or None beyond tol."""
+    """The index of the entry of `times` nearest t, or None beyond tol or
+    if `times` is empty."""
+    if len(times) == 0:
+        return None
     i = int(np.argmin(np.abs(np.asarray(times) - t)))
     return i if abs(times[i] - t) <= tol else None
 
@@ -455,25 +457,26 @@ def evolve(u0: RealField, cfg: SolverConfig,
         coeffs = ingest(u0.samples)
         snaps = [RealField(g, samples_in_place(_linear_flow(coeffs, g, t - cfg.t0), g.ny), t)
                  for t in map(sched.time, sched)]
-        return Trajectory(snaps, cfg, {"mode": "linear"})
+        return Trajectory(snaps, cfg)
     ws = _Workspace(g, cfg.dt)
     snaps = _march(ingest(u0.samples), sched, ws.advance,
                    lambda c, t: RealField(g, samples_of(c, g.shape), t))
-    return Trajectory(snaps, cfg, {"mode": "nonlinear"})
+    return Trajectory(snaps, cfg)
 
 
 def evolve_linearized(w0: RealField, background: Trajectory, cfg: SolverConfig,
                       snapshot_times: list[float] | None = None) -> Trajectory:
     """Integrate the linearized equation along a stored background, under
-    the exact-time rule of `evolve`; the background must cover [t0, t_end]."""
+    the exact-time rule of `evolve`; the background must cover the steps
+    taken, from t0 to the last snapshot."""
     sched = _schedule(cfg, snapshot_times)
     bg = BackgroundInterpolator(background)
-    if not bg.covers(cfg.t0, cfg.t_end):
-        raise DomainError("background trajectory does not cover [t0, t_end]")
+    if not bg.covers(cfg.t0, t_last := sched.time(sched.last)):
+        raise DomainError(f"background trajectory does not cover [t0, {t_last}]")
     ws = _Workspace(w0.grid, cfg.dt, bg)
     snaps = _march(ingest(w0.samples), sched, ws.advance,
                    lambda c, t: RealField(ws.grid, samples_of(c, ws.grid.shape), t))
-    return Trajectory(snaps, cfg, {"mode": "linearized"})
+    return Trajectory(snaps, cfg)
 
 
 # ---------------------------------------------------------------------------

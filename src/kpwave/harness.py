@@ -105,8 +105,9 @@ class DiagnosticSpec:
             raise ConfigError(f"diagnostics.{self.kind}: unknown parameter(s) {unknown}")
         if self.kind == "gamma":
             rays = self.settings["rays"]
-            if not isinstance(rays, (list, tuple)):
-                raise ConfigError(f"diagnostics.gamma.rays: expected a list of rays, got {rays!r}")
+            if not (isinstance(rays, (list, tuple)) and rays):
+                raise ConfigError(
+                    f"diagnostics.gamma.rays: expected a list of one or more rays, got {rays!r}")
             for ray in rays:
                 if not (isinstance(ray, (list, tuple)) and len(ray) == 2
                         and all(_is_a(float, x) and math.isfinite(x) for x in ray)):
@@ -468,8 +469,8 @@ def theorem_suite_configs(scale: float = 1.0) -> dict:
     if not 0 < scale <= 1:
         raise ConfigError("scale must lie in (0, 1]")
 
-    def n(v, lo=8):
-        k = max(lo, int(v * scale))
+    def n(v):
+        k = max(8, int(v * scale))
         return 2 * next_fast_len((k + 1) // 2)
 
     def on_lattice(t, dt):  # the step-lattice time k*dt nearest t

@@ -130,18 +130,13 @@ def _leading_bracket(p: PacketParams, grid: Grid2D) -> ComplexField:
     return _on_grid(grid, cols, bracket * phase / p.t, p.t)
 
 
-def packet_residual(p: PacketParams, grid: Grid2D,
-                    dt_step: float | None = None) -> PacketResidual:
+def packet_residual(p: PacketParams, grid: Grid2D) -> PacketResidual:
     """Apply the linear flow operator to the packet and split off the
-    explicit leading terms; the time derivative uses centered differences."""
-    t = p.t
-    dt_step = min(0.01, t / 100) if dt_step is None else dt_step
-    if dt_step > t / 20:
-        raise InvalidInputError(
-            f"finite-difference step {dt_step} too large relative to t={t}")
-    c_m, c, c_p = (_packet_coeffs(PacketParams(p.vel, s), grid)
-                   for s in (t - dt_step, t, t + dt_step))
-    flow = (c_p - c_m) / (2 * dt_step) + (_symbol(grid, 3) - _symbol(grid, -1, 2)) * c
+    explicit leading terms; the time derivative uses centered differences
+    of step min(0.01, t/100)."""
+    t, h = p.t, min(0.01, p.t / 100)
+    c_m, c, c_p = (_packet_coeffs(PacketParams(p.vel, s), grid) for s in (t - h, t, t + h))
+    flow = (c_p - c_m) / (2 * h) + (_symbol(grid, 3) - _symbol(grid, -1, 2)) * c
     full = ComplexField(grid, samples_in_place(flow, grid.ny), t)
     leading = _leading_bracket(p, grid)
     rem = ComplexField(grid, full.samples - leading.samples, t)

@@ -21,31 +21,29 @@ from .grids import (
 )
 from .vfields import _Spectrum, _symbol
 
-DEFAULT_ALPHA = 1.0 / 6.0  # the band exponent
+BAND_ALPHA = 1.0 / 6.0  # the band exponent alpha
 LATE_FRACTION = 0.25  # a drift series starts at t >= LATE_FRACTION * the last time
 _CONTENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class BandProjection:
-    """Sharp x-frequency band [t^{-alpha/2}, t^{alpha/2}] at time t."""
+    """Sharp x-frequency band [t^{-alpha/2}, t^{alpha/2}] at time t, alpha
+    being `BAND_ALPHA`."""
 
     t: float
-    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
         if self.t < 1:
             raise DomainError("band projection defined for t >= 1")
-        if not self.alpha > 0:
-            raise InvalidInputError("alpha must be positive")
 
     @property
     def lower(self) -> float:
-        return self.t ** (-self.alpha / 2)
+        return self.t ** (-BAND_ALPHA / 2)
 
     @property
     def upper(self) -> float:
-        return self.t ** (self.alpha / 2)
+        return self.t ** (BAND_ALPHA / 2)
 
     def rows(self, grid) -> np.ndarray:
         """The grid's x-frequency rows the band keeps; `DomainError` if none."""
@@ -134,7 +132,7 @@ def compute_umod(w_plus: ComplexField, lower: float) -> RealField:
 def scattering_residuals(traj: Trajectory, t: float) -> ScatterReport:
     """Measure how well the band-quadratic term shadows the full nonlinearity
     and how well the correction absorbs it under the flow at time t, on the
-    bands of exponent `DEFAULT_ALPHA`.
+    bands of exponent `BAND_ALPHA`.
 
     The time derivative of the correction is taken by centered differences
     of the fully composed quantity at the bracketing snapshots, so the

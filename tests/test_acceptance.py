@@ -317,7 +317,7 @@ def test_criterion_06_energy_growth(rng, energy_run):
     for a, b in zip(traj.snapshots, traj.snapshots[1:]):
         tm = 0.5 * (a.time_tag + b.time_tag)
         d_sq = (l2_norm(b) ** 2 - l2_norm(a) ** 2) / (b.time_tag - a.time_tag)
-        u = bg.field_at(bg.nearest_time(tm), tol=1.0)
+        u = bg.field_at(bg.nearest_time(tm))
         bound = (sup_norm(derivative(u, dx_order=1))
                  * 0.5 * (l2_norm(a) ** 2 + l2_norm(b) ** 2))
         ok = ok and d_sq <= bound + 1e-6
@@ -333,13 +333,13 @@ def test_criterion_07_decomposition(grid, rng, profile_run):
     checks.append(("sign split reconstruction 1e-13",
                    np.abs(up.samples + um.samples - u.samples).max()
                    <= 1e-13 * np.abs(u.samples).max()))
-    pieces = dyadic_decompose(up, 1.0)
+    pieces = dyadic_decompose(up)
     total = sum(p.plus_part.samples for p in pieces)
     checks.append(("dyadic sum 1e-12",
                    np.abs(total - up.samples).max()
                    <= 1e-12 * np.abs(up.samples).max()))
     piece = ComplexField(grid, pieces[0].plus_part.samples, 2.0)
-    split = hyperbolic_elliptic_split(type(pieces[0])(pieces[0].lam, piece), 0.5)
+    split = hyperbolic_elliptic_split(type(pieces[0])(pieces[0].lam, piece))
     checks.append(("hyp + ell reconstruction",
                    np.abs(split.hyp.samples + split.ell.samples
                           - piece.samples).max()
@@ -349,7 +349,7 @@ def test_criterion_07_decomposition(grid, rng, profile_run):
     for seed in (1, 2, 3):
         v = random_field(grid, np.random.default_rng(seed))
         vp, _ = split_sign_frequencies(v)
-        ps = dyadic_decompose(vp, 1.0)
+        ps = dyadic_decompose(vp)
         factors.append(sum(x_norm(p.plus_part, 0.0).total ** 2 for p in ps)
                        / x_norm(vp, 0.0).total ** 2)
     checks.append(("almost-orthogonality in [1/2, 2]",
@@ -368,8 +368,8 @@ def test_criterion_07_decomposition(grid, rng, profile_run):
     v = z_coordinate(gl, T) / T
     low = v < T ** (-2.0 / 3.0) / 8
     ok = True
-    for p in dyadic_decompose(upT, 1.0):
-        s = hyperbolic_elliptic_split(p, 0.5)
+    for p in dyadic_decompose(upT):
+        s = hyperbolic_elliptic_split(p)
         tot = np.sum(np.abs(s.hyp.samples) ** 2)
         if tot > 0:
             ok = ok and np.sum(np.abs(s.hyp.samples[low]) ** 2) <= 1e-6 * tot

@@ -92,37 +92,30 @@ class TestDyadicDecompose:
         k = 2 * np.pi / grid.Lx * 5
         u = RealField(grid, np.cos(k * grid.XA), 0.0)
         up, _ = split_sign_frequencies(u)
-        pieces = dyadic_decompose(up, 1.0)
+        pieces = dyadic_decompose(up)
         assert 1 <= len(pieces) <= 2
 
     def test_pieces_sum_to_input(self, grid, rng):
         up, _ = split_sign_frequencies(random_field(grid, rng))
-        for delta in (1.0, 0.5):
-            pieces = dyadic_decompose(up, delta)
-            total = sum(p.plus_part.samples for p in pieces)
-            scale = np.abs(up.samples).max()
-            assert np.abs(total - up.samples).max() < 1e-12 * scale
+        pieces = dyadic_decompose(up)
+        total = sum(p.plus_part.samples for p in pieces)
+        scale = np.abs(up.samples).max()
+        assert np.abs(total - up.samples).max() < 1e-12 * scale
 
     def test_almost_orthogonality(self, grid):
         for seed in (1, 2, 3):
             rng = np.random.default_rng(seed)
             u = random_field(grid, rng)
             up, _ = split_sign_frequencies(u)
-            pieces = dyadic_decompose(up, 1.0)
+            pieces = dyadic_decompose(up)
             total = x_norm(up, 0.0).total ** 2
             parts = sum(x_norm(p.plus_part, 0.0).total ** 2 for p in pieces)
             assert 0.5 <= parts / total <= 2.0
 
-    def test_delta_range(self, grid, rng):
-        up, _ = split_sign_frequencies(random_field(grid, rng))
-        for delta in (0.0, -0.5, 1.5):
-            with pytest.raises(InvalidInputError):
-                dyadic_decompose(up, delta)
-
     def test_rejects_negative_frequency_content(self, grid, rng):
         u = random_field(grid, rng)
         with pytest.raises(InvalidInputError):
-            dyadic_decompose(ComplexField(grid, u.samples + 0j, 0.0), 1.0)
+            dyadic_decompose(ComplexField(grid, u.samples + 0j, 0.0))
 
 
 def ray_packet(grid, t, lam, v_center, sx=1.5, sy=2.0):
@@ -137,7 +130,7 @@ class TestHypEllSplit:
     def test_exact_reconstruction(self):
         g = Grid2D(128, 32, 80.0, 20.0, -10.0, 0.0)
         piece = ray_packet(g, 4.0, 1.0, 3.0)
-        split = hyperbolic_elliptic_split(piece, 0.5)
+        split = hyperbolic_elliptic_split(piece)
         scale = np.abs(piece.plus_part.samples).max()
         assert np.abs(split.hyp.samples + split.ell.samples
                       - piece.plus_part.samples).max() < 4e-16 * scale
@@ -145,13 +138,13 @@ class TestHypEllSplit:
     def test_field_on_the_ray_is_hyperbolic(self):
         g = Grid2D(128, 32, 80.0, 20.0, -10.0, 0.0)
         piece = ray_packet(g, 4.0, 1.0, 3.0)
-        split = hyperbolic_elliptic_split(piece, 0.5)
+        split = hyperbolic_elliptic_split(piece)
         assert l2_norm(split.ell) < 1e-6 * l2_norm(piece.plus_part)
 
     def test_field_at_negative_v_is_elliptic(self):
         g = Grid2D(128, 32, 80.0, 20.0, 10.0, 0.0)
         piece = ray_packet(g, 4.0, 1.0, -3.0)
-        split = hyperbolic_elliptic_split(piece, 0.5)
+        split = hyperbolic_elliptic_split(piece)
         # the Gaussian envelope is not compactly supported; only its far
         # tail can meet the cutoff region
         assert l2_norm(split.hyp) < 1e-14 * l2_norm(piece.plus_part)
@@ -161,7 +154,7 @@ class TestHypEllSplit:
         t = 4.0
         lam = 0.5 * t ** (-1.0 / 3.0)
         piece = ray_packet(g, t, lam, 3 * lam**2)
-        split = hyperbolic_elliptic_split(piece, 0.5)
+        split = hyperbolic_elliptic_split(piece)
         assert np.all(split.hyp.samples == 0)
         assert np.array_equal(split.ell.samples, piece.plus_part.samples)
 
@@ -169,13 +162,7 @@ class TestHypEllSplit:
         g = Grid2D(128, 32, 80.0, 20.0, -10.0, 0.0)
         piece = ray_packet(g, 0.5, 1.0, 3.0)
         with pytest.raises(DomainError):
-            hyperbolic_elliptic_split(piece, 0.5)
-
-    def test_width_positive(self):
-        g = Grid2D(128, 32, 80.0, 20.0, -10.0, 0.0)
-        piece = ray_packet(g, 4.0, 1.0, 3.0)
-        with pytest.raises(InvalidInputError):
-            hyperbolic_elliptic_split(piece, 0.0)
+            hyperbolic_elliptic_split(piece)
 
 
 class TestLinearRunConcentration:
@@ -189,9 +176,9 @@ class TestLinearRunConcentration:
         traj = evolve(u0, SolverConfig(dt=1.0, t0=0.0, t_end=T), linear=True)
         u = traj.snapshots[-1]
         up, _ = split_sign_frequencies(u)
-        pieces = dyadic_decompose(up, 1.0)
+        pieces = dyadic_decompose(up)
         dom = max(pieces, key=lambda p: l2_norm(p.plus_part))
-        split = hyperbolic_elliptic_split(dom, 0.5)
+        split = hyperbolic_elliptic_split(dom)
         mass = l2_norm(dom.plus_part)
         assert l2_norm(split.hyp) > 0.9 * mass
 
@@ -214,10 +201,10 @@ class TestLinearRunConcentration:
         T = 64.0
         traj = evolve(u0, SolverConfig(dt=4.0, t0=0.0, t_end=T), linear=True)
         up, _ = split_sign_frequencies(traj.snapshots[-1])
-        for piece in dyadic_decompose(up, 1.0):
+        for piece in dyadic_decompose(up):
             if T ** (1.0 / 3.0) * piece.lam < 4.0 or piece.lam > 1.5:
                 continue
-            split = hyperbolic_elliptic_split(piece, 0.5)
+            split = hyperbolic_elliptic_split(piece)
             F = forward_transform(split.hyp)
             band = ((np.abs(g.XI) >= piece.lam * 2**-1.5)
                     & (np.abs(g.XI) <= piece.lam * 2**1.5))

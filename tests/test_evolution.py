@@ -22,6 +22,7 @@ from kpwave.evolution import (
     galilean_fourier_map,
     linear_propagate,
     nonlinear_term,
+    snapshot_index,
     step_linearized,
     step_nonlinear,
 )
@@ -304,7 +305,7 @@ class TestLinearized:
         for a, b in zip(traj.snapshots, traj.snapshots[1:]):
             tm = 0.5 * (a.time_tag + b.time_tag)
             d_sq = (l2_norm(b) ** 2 - l2_norm(a) ** 2) / (b.time_tag - a.time_tag)
-            u = bg.field_at(bg.nearest_time(tm), tol=1.0)
+            u = bg.field_at(bg.nearest_time(tm))
             bound = sup_norm(derivative(u, dx_order=1)) * (0.5 * (l2_norm(a) ** 2 + l2_norm(b) ** 2))
             assert d_sq <= bound + 1e-6
 
@@ -346,6 +347,23 @@ class TestLinearized:
                             lambda self, t: calls.append(t) or samples_at(self, t))
         with pytest.raises(DomainError, match="does not cover"):
             evolve_linearized(random_field(grid, rng), bg, SolverConfig(dt=0.1, t0=0.0, t_end=1.0))
+        assert calls == []
+
+    def test_background_needs_to_cover_only_the_steps_taken(self, rng, monkeypatch):
+        # a run given snapshot times stops at the last of them, whatever t_end
+        g = Grid2D(64, 32, 20.0, 10.0, 0.0, 0.0)
+        bg = self._background(g, T=0.5, dt=0.01)
+        w0 = random_field(g, rng)
+        got = evolve_linearized(w0, bg, SolverConfig(dt=0.01, t0=0.0, t_end=1.0), [0.0, 0.5])
+        ref = evolve_linearized(w0, bg, SolverConfig(dt=0.01, t0=0.0, t_end=0.5), [0.0, 0.5])
+        assert list(got.times) == list(ref.times) == [0.0, 0.5]
+        assert all(np.array_equal(a.samples, b.samples)
+                   for a, b in zip(got.snapshots, ref.snapshots))
+        calls = []
+        monkeypatch.setattr(BackgroundInterpolator, "samples_at",
+                            lambda self, t, out=None: calls.append(t))
+        with pytest.raises(DomainError, match=r"does not cover \[t0, 0\.6"):
+            evolve_linearized(w0, bg, SolverConfig(dt=0.01, t0=0.0, t_end=1.0), [0.0, 0.6])
         assert calls == []
 
 
@@ -525,6 +543,17 @@ class TestTrajectoryIO:
             SolverConfig(dt=0.1, t0=1.0, t_end=0.0)
         with pytest.raises(InvalidInputError):
             SolverConfig(dt=2.0, t0=0.0, t_end=1.0)
+        # a stride that is no int, or is a bool, under the loader's leaf rule
+        for stride in (2.5, True):
+            with pytest.raises(InvalidInputError, match=f"snapshot_stride .* got {stride}"):
+                SolverConfig(dt=0.1, t0=0.0, t_end=1.0, snapshot_stride=stride)
+
+    def test_lookups_on_an_empty_trajectory_refused(self):
+        traj = Trajectory([], SolverConfig(dt=0.1, t0=0.0, t_end=1.0))
+        for lookup in (traj.index, traj.field_at, traj.nearest_time):
+            with pytest.raises(DomainError, match="no snapshot"):
+                lookup(0.0)
+        assert snapshot_index([], 0.0, math.inf) is None
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("name", ["dt", "t0", "t_end"])

@@ -138,11 +138,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DiagnosticSpec("gamma", {"rays": [(3.0, 0.0)]})
 
-    @pytest.mark.parametrize("rays", [[["a", 0]], [[-3.0, 0.0, 1.0]], [-3.0], [[math.nan, 0.0]]])
+    @pytest.mark.parametrize("rays", [[["a", 0]], [[-3.0, 0.0, 1.0]], [-3.0], [[math.nan, 0.0]], []])
     def test_malformed_gamma_ray_refused_by_its_path(self, rays):
-        # each ray is checked to be a pair of finite numbers before its v is read
-        match = re.escape(f"diagnostics.gamma.rays: ray {rays[0]!r} is not a pair "
-                          "of finite numbers")
+        # each ray is checked to be a pair of finite numbers before its v is
+        # read, and no ray is refused as no `times` is (not a header-only gamma.csv)
+        match = re.escape(f"diagnostics.gamma.rays: ray {rays[0]!r} is not a pair of finite numbers"
+                          if rays else "diagnostics.gamma.rays: expected a list of one or more "
+                          "rays, got []")
         with pytest.raises(ConfigError, match=match):
             DiagnosticSpec("gamma", {"rays": rays})
         d = json.loads(theorem_suite_configs(0.1)["packet"].to_json())

@@ -286,8 +286,8 @@ class TestGamma:
         up, _ = split_sign_frequencies(u)
         hyp = np.zeros(g.shape, dtype=complex)
         ell = np.zeros(g.shape, dtype=complex)
-        for piece in dyadic_decompose(up, 1.0):
-            split = hyperbolic_elliptic_split(piece, 0.5)
+        for piece in dyadic_decompose(up):
+            split = hyperbolic_elliptic_split(piece)
             hyp += split.hyp.samples
             ell += split.ell.samples
         psi = build_packet(PacketParams(VEL, t), g)
@@ -317,11 +317,6 @@ class TestPacketResidual:
         assert fit.exponent == pytest.approx(-1.5, abs=0.2)
         # leading terms scale exactly like t^{-1} x packet size
         assert max(lead_ratios) - min(lead_ratios) < 0.05 * min(lead_ratios)
-
-    def test_step_too_large(self):
-        g = ray_grid(40.0)
-        with pytest.raises(InvalidInputError):
-            packet_residual(PacketParams(VEL, 40.0), g, dt_step=10.0)
 
 
 class TestReconstruction:

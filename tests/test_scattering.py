@@ -22,15 +22,13 @@ from conftest import gaussian_field, random_field
 
 class TestBandProjection:
     def test_edges_at_t64(self):
-        bp = BandProjection(64.0, alpha=1.0 / 6.0)
+        bp = BandProjection(64.0)
         assert bp.lower == pytest.approx(2.0 ** -0.5, rel=1e-14)
         assert bp.upper == pytest.approx(2.0 ** 0.5, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(DomainError):
             BandProjection(0.5)
-        with pytest.raises(InvalidInputError):
-            BandProjection(4.0, alpha=0.0)
 
     def test_in_band_field_is_fixed(self, grid):
         bp = BandProjection(16.0)

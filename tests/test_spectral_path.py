@@ -114,7 +114,7 @@ def test_profile_matches_operator_chains(t):
     hyp_plus = np.zeros(g.shape, dtype=complex)
     rows = []
     for piece in dyadic_decompose(split_sign_frequencies(u)[0]):
-        split = hyperbolic_elliptic_split(piece, 0.5)
+        split = hyperbolic_elliptic_split(piece)
         hyp_plus += split.hyp.samples
         if piece.lam < t ** (-1.0 / 3.0):
             continue
