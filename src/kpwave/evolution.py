@@ -28,6 +28,7 @@ from .grids import (
     Grid2D,
     RealField,
     SpectralField,
+    _flow_factor,
     check_projected,
     dx_symbol,
     forward_transform,
@@ -36,7 +37,6 @@ from .grids import (
     ingest,
     inverse_transform,
     load_snapshot,
-    omega_values,
     samples_in_place,
     samples_of,
     save_snapshot,
@@ -192,8 +192,9 @@ def linear_propagate(F: SpectralField, dt: float) -> SpectralField:
 
 def _linear_flow(coeffs: np.ndarray, grid: Grid2D, dt: float) -> np.ndarray:
     """The exact linear flow over dt of a projected field's coefficients, on
-    the full lattice or a half spectrum."""
-    return coeffs * np.exp(1j * omega_values(grid, coeffs.shape[1]) * dt)
+    the full lattice or a half spectrum, multiplied into a fresh `_flow_factor`."""
+    e = _flow_factor(grid, coeffs.shape[1], dt)
+    return np.multiply(e, coeffs, out=e)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,7 @@ class _Workspace:
                  background: "BackgroundInterpolator | None" = None):
         self.grid, self.dt, self.background = grid, dt, background
         self.flux = _flux(grid, linearized=background is not None)
-        self.e1 = np.exp(1j * omega_values(grid, grid.ny // 2 + 1) * (dt / 2))
+        self.e1 = _flow_factor(grid, grid.ny // 2 + 1, dt / 2)
         self.e2 = self.e1 * self.e1
         # one block each for the four fluxes and the background at t, t + dt/2, t + dt,
         # written over at every step: the heap neither regrows per step nor fragments

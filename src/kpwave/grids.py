@@ -369,15 +369,39 @@ def dispersion_omega(xi: float, eta: float) -> float:
     return xi**3 + eta**2 / xi
 
 
+def _omega_half(grid: Grid2D, cols: int | None) -> np.ndarray:
+    """omega on rows 0..nx/2 (xi >= 0, then the x-Nyquist row) of the first
+    `cols` eta columns, xi^3 and eta^2 as exact products; zero on the xi = 0
+    line and the x-Nyquist row."""
+    xi, eta = grid.xi[:grid.nx // 2 + 1].copy(), grid.eta[:cols]
+    xi[0] = 1.0  # placeholder, zeroed below
+    w = (xi * xi * xi)[:, None] + (eta * eta)[None, :] / xi[:, None]
+    w[[0, -1]] = 0.0
+    return w
+
+
 def omega_values(grid: Grid2D, cols: int | None = None) -> np.ndarray:
     """omega on the first `cols` eta columns of the lattice (all by default);
-    zero on the xi = 0 line and the x-Nyquist row."""
-    xi = grid.xi.copy()
-    xi[0] = 1.0  # placeholder, zeroed below
-    w = (grid.xi**3)[:, None] + (grid.eta[:cols] ** 2)[None, :] / xi[:, None]
-    w[0, :] = 0.0
-    w[grid.nx // 2, :] = 0.0
-    return w
+    zero on the xi = 0 line and the x-Nyquist row.  The rows past nx/2 are
+    the negation of their mirrors, so omega is exactly odd in xi, and each
+    value is a few correctly rounded products, a quotient and a sum, whose
+    bits no SIMD dispatch changes (numpy's pow would)."""
+    w = _omega_half(grid, cols)
+    return np.concatenate((w, -w[-2:0:-1]))
+
+
+def _flow_factor(grid: Grid2D, cols: int, t: float) -> np.ndarray:
+    """e^{i omega t} on the first `cols` eta columns: the cosine and sine of
+    omega*t on rows 0..nx/2, and their conjugate on the mirror rows past
+    nx/2, so each sine and cosine is taken once and the factor is exactly
+    Hermitian in xi."""
+    theta = _omega_half(grid, cols) * t
+    h = len(theta)
+    e = np.empty((grid.nx, theta.shape[1]), complex)
+    np.cos(theta, out=e.real[:h])
+    np.sin(theta, out=e.imag[:h])
+    np.conjugate(e[h - 2:0:-1], out=e[h:])
+    return e
 
 
 def dx_symbol(grid: Grid2D, order: int = 1) -> np.ndarray:

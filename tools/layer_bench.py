@@ -15,8 +15,9 @@ scipy modules it loaded.  At the energy grid
 (1024x512) and the packet grid (1024x256) of the canned suite, a worker
 times the transform pair (`spectrum` then `samples_of`), one flux
 evaluation (the product and its dealiased forward transform), one IFRK4
-step, a `derivative` and an `x_norm`, each on the experiment's initial
-datum; on the profile grid (1024x256) it times a `pointwise_profile` of
+step, the exact linear flow of the half spectrum to t = 4
+(`evolution._linear_flow`), a `derivative` and an `x_norm`, each on the
+experiment's initial datum; on the profile grid (1024x256) it times a `pointwise_profile` of
 that experiment's datum flowed linearly to t = 4, and on the packet grid
 one `gamma` sample (`packets._pair`: u_x's spectrum, u_xx and the pairing)
 on that experiment's ray, its datum flowed linearly to t = 40.  It keeps
@@ -48,9 +49,10 @@ import tracemalloc
 from pathlib import Path
 
 GRIDS = {"1024x512": "energy", "1024x256": "packet"}
-LAYERS = ("transform_pair", "flux", "ifrk4_step", "derivative", "x_norm")
+LAYERS = ("transform_pair", "flux", "ifrk4_step", "linear_flow", "derivative", "x_norm")
 PROFILE_TIME = 4.0  # the `pointwise_profile` layer's time, on the profile grid
 GAMMA_TIME = 40.0  # the `gamma` layer's time, on the packet grid
+FLOW_TIME = 4.0  # the `linear_flow` layer's time, on each grid of GRIDS
 # which way each end-to-end metric improves, as the benchmark declares it
 BETTER = {m["name"]: m["better"] for m in json.loads(
     (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -112,6 +114,7 @@ def worker(root: Path, repeats: int) -> dict:
                                tuple),
             "flux": (flux, lambda: (w.copy(),)),  # a flux may overwrite its samples
             "ifrk4_step": (lambda: ws.advance(c, 0.0), tuple),
+            "linear_flow": (lambda: evolution._linear_flow(c, g, FLOW_TIME), tuple),
             "derivative": (lambda: vfields.derivative(u, dx_order=1), tuple),
             "x_norm": (lambda: vfields.x_norm(u, 1.0), tuple),
         }
